@@ -2,7 +2,7 @@
 //!
 //! Each driver prints its table to stdout in the paper's row/series layout
 //! so measured numbers can be placed side by side with the published ones
-//! (see `EXPERIMENTS.md` at the workspace root).
+//! (the `report` binary regenerates them all).
 
 use skysr_core::bssr::{Bssr, BssrConfig, LowerBoundMode, QueuePolicy};
 use skysr_data::dataset::Dataset;

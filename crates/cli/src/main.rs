@@ -785,7 +785,10 @@ fn run(argv: Vec<String>) -> Result<(), String> {
             println!(
                 "skysr-d at {addr} drained and stopped: {} completed, {} executed, \
                  {} cache hits, {} coalesced",
-                metrics.completed, metrics.executed, metrics.cache.hits, metrics.coalesced
+                metrics.completed(),
+                metrics.executed(),
+                metrics.cache.hits,
+                metrics.coalesced()
             );
             Ok(())
         }

@@ -95,10 +95,10 @@ pub fn run_serve(args: &mut Args) -> Result<(), String> {
         eprintln!(
             "skysr-d drained and stopped: {} completed, {} executed, {} cache hits, {} coalesced \
              across {shards} shards ({} misrouted)",
-            metrics.completed,
-            metrics.executed,
+            metrics.completed(),
+            metrics.executed(),
             metrics.cache.hits,
-            metrics.coalesced,
+            metrics.coalesced(),
             router.misrouted()
         );
         return Ok(());
@@ -116,7 +116,10 @@ pub fn run_serve(args: &mut Args) -> Result<(), String> {
     let metrics = service.metrics();
     eprintln!(
         "skysr-d drained and stopped: {} completed, {} executed, {} cache hits, {} coalesced",
-        metrics.completed, metrics.executed, metrics.cache.hits, metrics.coalesced
+        metrics.completed(),
+        metrics.executed(),
+        metrics.cache.hits,
+        metrics.coalesced()
     );
     Ok(())
 }

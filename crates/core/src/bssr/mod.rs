@@ -267,104 +267,32 @@ impl<'g> Bssr<'g> {
         Ok(self.run_prepared(&pq))
     }
 
-    /// [`Bssr::run`] reporting each provisional Pareto point to `sink` the
-    /// moment the search proves it (anytime streaming). Every emitted
-    /// route is a genuine valid sequenced route that was a skyline member
-    /// when emitted, so it is dominated-or-equal by some member of the
-    /// final exact skyline; each distinct route is emitted at most once.
-    pub fn run_observed(
-        &mut self,
-        query: &SkySrQuery,
-        sink: ProgressSink<'_>,
-    ) -> Result<BssrResult, QueryError> {
-        let pq = PreparedQuery::prepare(&self.ctx, query)?;
-        Ok(self.run_prepared_observed(&pq, WarmSeeds::None, Some(sink)))
-    }
-
-    /// [`Bssr::run_with_seeds`] with a provisional-point sink (see
-    /// [`Bssr::run_observed`]). Warm seeds that survive domination are
-    /// emitted too — they are valid routes like any other member.
-    pub fn run_with_seeds_observed(
-        &mut self,
-        query: &SkySrQuery,
-        prefix: &[SkylineRoute],
-        sink: ProgressSink<'_>,
-    ) -> Result<BssrResult, QueryError> {
-        let pq = PreparedQuery::prepare(&self.ctx, query)?;
-        let seeds =
-            if prefix.is_empty() { WarmSeeds::None } else { WarmSeeds::PrefixOrFull(prefix) };
-        Ok(self.run_prepared_observed(&pq, seeds, Some(sink)))
-    }
-
-    /// [`Bssr::run_with_suffix_seeds`] with a provisional-point sink (see
-    /// [`Bssr::run_observed`]).
-    pub fn run_with_suffix_seeds_observed(
-        &mut self,
-        query: &SkySrQuery,
-        suffix: &[SkylineRoute],
-        sink: ProgressSink<'_>,
-    ) -> Result<BssrResult, QueryError> {
-        let pq = PreparedQuery::prepare(&self.ctx, query)?;
-        Ok(self.run_prepared_observed(&pq, WarmSeeds::Suffix(suffix), Some(sink)))
-    }
-
-    /// Validates and runs `query` warm-started from a cached skyline of its
-    /// (k−1)-position prefix — or any same-start full-length skyline, e.g.
-    /// an ancestor-category variant's (semantic cache reuse; see [`warm`]).
-    ///
-    /// The result is score-equivalent to a cold [`Bssr::run`] — the seeds
-    /// only tighten the pruning thresholds, exactly as NNinit does. Routes
-    /// in `prefix` that do not fit the query are ignored, so passing a
-    /// skyline from an unrelated query degrades to a cold run.
-    pub fn run_with_seeds(
-        &mut self,
-        query: &SkySrQuery,
-        prefix: &[SkylineRoute],
-    ) -> Result<BssrResult, QueryError> {
-        let pq = PreparedQuery::prepare(&self.ctx, query)?;
-        Ok(self.run_prepared_warm(&pq, prefix))
-    }
-
-    /// Validates and runs `query` warm-started from a cached skyline of its
-    /// *suffix* ⟨c₂, …, c_k⟩ over the same start: each suffix route is
-    /// prepended one shortest-path leg through a first-position match
-    /// ([`warm::seed_suffix_routes`]). Exactness is preserved the same way
-    /// as every other warm start — seeds are genuine valid routes that only
-    /// tighten the thresholds.
-    pub fn run_with_suffix_seeds(
-        &mut self,
-        query: &SkySrQuery,
-        suffix: &[SkylineRoute],
-    ) -> Result<BssrResult, QueryError> {
-        let pq = PreparedQuery::prepare(&self.ctx, query)?;
-        Ok(self.run_prepared_seeded(&pq, WarmSeeds::Suffix(suffix)))
-    }
-
     /// Runs a pre-compiled query (lets callers reuse the preparation across
     /// engines, e.g. when comparing configurations).
     pub fn run_prepared(&mut self, pq: &PreparedQuery) -> BssrResult {
-        self.run_prepared_seeded(pq, WarmSeeds::None)
+        self.run_prepared_observed(pq, WarmSeeds::None, None)
     }
 
-    /// [`Bssr::run_prepared`] with warm-start seeds from a prefix (or
-    /// full-length) skyline; an empty slice is a cold run.
-    pub fn run_prepared_warm(&mut self, pq: &PreparedQuery, prefix: &[SkylineRoute]) -> BssrResult {
-        let seeds =
-            if prefix.is_empty() { WarmSeeds::None } else { WarmSeeds::PrefixOrFull(prefix) };
-        self.run_prepared_seeded(pq, seeds)
-    }
-
-    /// [`Bssr::run_prepared`] with explicit warm-seed material.
-    pub fn run_prepared_seeded(&mut self, pq: &PreparedQuery, seeds: WarmSeeds<'_>) -> BssrResult {
-        self.run_prepared_observed(pq, seeds, None)
-    }
-
-    /// The full engine: [`Bssr::run_prepared_seeded`] with an optional
-    /// provisional-point sink. The sink is flushed at every point the
-    /// skyline can grow — after NNinit, after warm seeding, and after
-    /// every multi-criteria Dijkstra step — by diffing the skyline
-    /// against the routes already emitted (cheap: skylines are small and
-    /// [`SkylineSet::version`] gates the diff to actual insertions).
+    /// The full engine: a pre-compiled query, optionally warm-started from
+    /// `seeds` and optionally streaming provisional points to `sink`.
+    ///
+    /// **Warm starts** (semantic cache reuse; see [`warm`]): the result is
+    /// score-equivalent to a cold run — seeds only tighten the pruning
+    /// thresholds, exactly as NNinit does. Seed routes that do not fit the
+    /// query are ignored, so foreign or empty material degrades to a cold
+    /// run.
+    ///
+    /// **Anytime streaming**: `sink` receives each provisional Pareto
+    /// point the moment the search proves it. Every emitted route is a
+    /// genuine valid sequenced route that was a skyline member when
+    /// emitted, so it is dominated-or-equal by some member of the final
+    /// exact skyline; each distinct route is emitted at most once (warm
+    /// seeds that survive domination included). The sink is flushed at
+    /// every point the skyline can grow — after NNinit, after warm
+    /// seeding, and after every multi-criteria Dijkstra step — by diffing
+    /// the skyline against the routes already emitted (cheap: skylines are
+    /// small and [`SkylineSet::version`] gates the diff to actual
+    /// insertions).
     pub fn run_prepared_observed(
         &mut self,
         pq: &PreparedQuery,
@@ -573,7 +501,12 @@ mod tests {
         let ctx = ex.context();
         let mut bssr = Bssr::new(&ctx);
         let mut provisional: Vec<SkylineRoute> = Vec::new();
-        let result = bssr.run_observed(&ex.query(), &mut |r| provisional.push(r.clone())).unwrap();
+        let pq = PreparedQuery::prepare(&ctx, &ex.query()).unwrap();
+        let result = bssr.run_prepared_observed(
+            &pq,
+            WarmSeeds::None,
+            Some(&mut |r| provisional.push(r.clone())),
+        );
         expect_paper_skyline(&result.routes);
         assert!(!provisional.is_empty(), "the search proves points before completion");
         for (i, p) in provisional.iter().enumerate() {
@@ -752,6 +685,12 @@ mod tests {
         assert!(result.routes.iter().any(|r| r.pois[0] == ex.p(2) && r.length == Cost::new(4.0)));
     }
 
+    /// Prepares `query` and runs it warm-started from `seeds`.
+    fn run_seeded(bssr: &mut Bssr<'_>, query: &SkySrQuery, seeds: WarmSeeds<'_>) -> BssrResult {
+        let pq = PreparedQuery::prepare(&bssr.ctx, query).unwrap();
+        bssr.run_prepared_observed(&pq, seeds, None)
+    }
+
     #[test]
     fn warm_start_from_prefix_skyline_matches_cold_run() {
         use crate::route::equivalent_skylines;
@@ -769,7 +708,7 @@ mod tests {
             let next_q = SkySrQuery::with_positions(full.start, full.sequence[..=j].to_vec());
             let prefix = bssr.run(&prefix_q).unwrap().routes;
             let cold = bssr.run(&next_q).unwrap();
-            let warm = bssr.run_with_seeds(&next_q, &prefix).unwrap();
+            let warm = run_seeded(&mut bssr, &next_q, WarmSeeds::PrefixOrFull(&prefix));
             assert!(
                 equivalent_skylines(&warm.routes, &cold.routes),
                 "prefix len {j}: warm {:?} vs cold {:?}",
@@ -794,7 +733,7 @@ mod tests {
         let suffix_q = SkySrQuery::with_positions(full.start, full.sequence[1..].to_vec());
         let suffix = bssr.run(&suffix_q).unwrap().routes;
         let cold = bssr.run(&full).unwrap();
-        let warm = bssr.run_with_suffix_seeds(&full, &suffix).unwrap();
+        let warm = run_seeded(&mut bssr, &full, WarmSeeds::Suffix(&suffix));
         assert!(
             equivalent_skylines(&warm.routes, &cold.routes),
             "suffix warm {:?} vs cold {:?}",
@@ -805,7 +744,7 @@ mod tests {
         // A foreign suffix (wrong positions entirely) degrades to cold.
         let gift = ex.forest.by_name("Gift Shop").unwrap();
         let foreign = bssr.run(&SkySrQuery::new(ex.vq, [gift])).unwrap().routes;
-        let degraded = bssr.run_with_suffix_seeds(&full, &foreign).unwrap();
+        let degraded = run_seeded(&mut bssr, &full, WarmSeeds::Suffix(&foreign));
         assert!(equivalent_skylines(&degraded.routes, &cold.routes));
     }
 
@@ -825,7 +764,7 @@ mod tests {
         let foreign = bssr.run(&SkySrQuery::new(ex.vq, [gift])).unwrap().routes;
         let q = SkySrQuery::new(ex.vq, [hobby, gift]);
         let cold = bssr.run(&q).unwrap();
-        let warm = bssr.run_with_seeds(&q, &foreign).unwrap();
+        let warm = run_seeded(&mut bssr, &q, WarmSeeds::PrefixOrFull(&foreign));
         assert!(
             equivalent_skylines(&warm.routes, &cold.routes),
             "warm {:?} vs cold {:?}",

@@ -65,7 +65,7 @@ use skysr_graph::dijkstra::{dijkstra_with, shortest_distance, Settle};
 use skysr_graph::fxhash::FxHashSet;
 use skysr_graph::{Cost, DeltaIndex, DijkstraWorkspace, Landmarks, VertexId};
 
-use crate::bssr::Bssr;
+use crate::bssr::{Bssr, WarmSeeds};
 use crate::context::QueryContext;
 use crate::error::QueryError;
 use crate::prepared::PreparedQuery;
@@ -479,7 +479,7 @@ impl<'g> Bssr<'g> {
         // the re-search — a partial labelled "repaired" would launder the
         // approximate flag away. Disarm for the duration.
         let deadline = self.deadline.take();
-        let mut result = self.run_prepared_warm(pq, &survivors);
+        let mut result = self.run_prepared_observed(pq, WarmSeeds::PrefixOrFull(&survivors), None);
         self.deadline = deadline;
         // The warm search absorbed its own work into the scratch profile;
         // the in-place tiers' (rescoring legs, relevance ball) is only in

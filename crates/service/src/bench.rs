@@ -110,6 +110,7 @@ use skysr_data::dataset::{Dataset, DatasetSpec, Preset};
 
 use crate::context::ServiceContext;
 use crate::net::{RemoteService, Server, ServerConfig};
+use crate::plan::SeedSource;
 use crate::replay::{
     build_pool, replay, replay_on, replay_remote, replay_sharded, ReplayReport, ReplaySpec,
     ShardedReplayReport, StreamPattern, TelemetryMode,
@@ -274,8 +275,8 @@ impl BenchReport {
         for (i, run) in self.runs.iter().enumerate() {
             let m = &run.report.metrics;
             let c = &m.cache;
-            let reuse_rate = if m.completed > 0 {
-                (c.hits + m.coalesced) as f64 / m.completed as f64
+            let reuse_rate = if m.completed() > 0 {
+                (c.hits + m.coalesced()) as f64 / m.completed() as f64
             } else {
                 0.0
             };
@@ -310,19 +311,19 @@ impl BenchReport {
                  \"rungs\": {{{}}}}}{}\n",
                 run.workload,
                 run.mode,
-                m.completed,
+                m.completed(),
                 run.report.workers,
                 run.report.wall.as_secs_f64(),
-                m.throughput_qps,
-                m.latency_p50.as_secs_f64() * 1e3,
-                m.latency_p99.as_secs_f64() * 1e3,
+                m.throughput_qps(),
+                m.latency().quantile(0.50).as_secs_f64() * 1e3,
+                m.latency().quantile(0.99).as_secs_f64() * 1e3,
                 m.queue_wait_hist.quantile(0.50).as_secs_f64() * 1e3,
                 m.queue_wait_hist.quantile(0.99).as_secs_f64() * 1e3,
-                m.executed,
-                m.coalesced,
-                m.seeded_prefix,
-                m.seeded_ancestor,
-                m.seeded_suffix,
+                m.executed(),
+                m.coalesced(),
+                m.seeded(SeedSource::Prefix),
+                m.seeded(SeedSource::Ancestor),
+                m.seeded(SeedSource::Suffix),
                 c.hits,
                 c.misses,
                 c.hit_rate(),
@@ -331,7 +332,7 @@ impl BenchReport {
                 c.evictions,
                 c.invalidations,
                 run.report.epochs_published,
-                m.repairs,
+                m.repairs(),
                 m.repair_fallbacks,
                 m.routes_rescored,
                 m.stale_served,
@@ -341,7 +342,7 @@ impl BenchReport {
                     .unwrap_or_else(|| "null".to_owned()),
                 m.rejected,
                 m.shed_deadline,
-                m.approximate_served,
+                m.approximate_served(),
                 rungs.join(", "),
                 if i + 1 == self.runs.len() { "" } else { "," }
             ));
@@ -386,12 +387,15 @@ impl std::fmt::Display for BenchReport {
                  {} coalesced, {} warm, {:.0}% hit, {} invalidated",
                 run.workload,
                 run.mode,
-                m.throughput_qps,
-                m.latency_p50.as_secs_f64() * 1e3,
-                m.latency_p99.as_secs_f64() * 1e3,
-                m.executed,
-                m.coalesced,
-                m.seeded_prefix + m.seeded_ancestor + m.seeded_suffix,
+                m.throughput_qps(),
+                m.latency().quantile(0.50).as_secs_f64() * 1e3,
+                m.latency().quantile(0.99).as_secs_f64() * 1e3,
+                m.executed(),
+                m.coalesced(),
+                [Rung::WarmPrefix, Rung::WarmAncestor, Rung::WarmSuffix]
+                    .into_iter()
+                    .map(|r| m.rung_count(r))
+                    .sum::<u64>(),
                 m.cache.hit_rate() * 100.0,
                 m.cache.invalidations
             )?;
@@ -584,8 +588,8 @@ pub fn bench(dataset: Dataset, spec: &BenchSpec) -> BenchReport {
     ] {
         let base = replay_on(Arc::clone(&ctx), pool, &cell_spec(spec, pattern, false, update_rate));
         let reuse = replay_on(Arc::clone(&ctx), pool, &cell_spec(spec, pattern, true, update_rate));
-        let ratio = if base.metrics.throughput_qps > 0.0 {
-            reuse.metrics.throughput_qps / base.metrics.throughput_qps
+        let ratio = if base.metrics.throughput_qps() > 0.0 {
+            reuse.metrics.throughput_qps() / base.metrics.throughput_qps()
         } else {
             0.0
         };
@@ -598,8 +602,8 @@ pub fn bench(dataset: Dataset, spec: &BenchSpec) -> BenchReport {
     // same single-pass subtree-walk stream.
     let base = replay_on(Arc::clone(&ctx), &hier_pool, &hierarchy_cell_spec(spec, false));
     let treat = replay_on(Arc::clone(&ctx), &hier_pool, &hierarchy_cell_spec(spec, true));
-    let speedup_hierarchy = if base.metrics.throughput_qps > 0.0 {
-        treat.metrics.throughput_qps / base.metrics.throughput_qps
+    let speedup_hierarchy = if base.metrics.throughput_qps() > 0.0 {
+        treat.metrics.throughput_qps() / base.metrics.throughput_qps()
     } else {
         0.0
     };
@@ -610,8 +614,8 @@ pub fn bench(dataset: Dataset, spec: &BenchSpec) -> BenchReport {
     // the same update schedule.
     let base = replay_on(Arc::clone(&ctx), &dup_pool, &repair_cell_spec(spec, false));
     let treat = replay_on(Arc::clone(&ctx), &dup_pool, &repair_cell_spec(spec, true));
-    let speedup_repair = if base.metrics.throughput_qps > 0.0 {
-        treat.metrics.throughput_qps / base.metrics.throughput_qps
+    let speedup_repair = if base.metrics.throughput_qps() > 0.0 {
+        treat.metrics.throughput_qps() / base.metrics.throughput_qps()
     } else {
         0.0
     };
@@ -637,17 +641,21 @@ pub fn bench(dataset: Dataset, spec: &BenchSpec) -> BenchReport {
     let mut treat: Option<ReplayReport> = None;
     for _ in 0..5 {
         let b = replay_on(Arc::clone(&ctx), &dup_pool, &telemetry_cell(TelemetryMode::Off));
-        if base.as_ref().is_none_or(|old| b.metrics.throughput_qps > old.metrics.throughput_qps) {
+        if base.as_ref().is_none_or(|old| b.metrics.throughput_qps() > old.metrics.throughput_qps())
+        {
             base = Some(b);
         }
         let t = replay_on(Arc::clone(&ctx), &dup_pool, &telemetry_cell(TelemetryMode::Full));
-        if treat.as_ref().is_none_or(|old| t.metrics.throughput_qps > old.metrics.throughput_qps) {
+        if treat
+            .as_ref()
+            .is_none_or(|old| t.metrics.throughput_qps() > old.metrics.throughput_qps())
+        {
             treat = Some(t);
         }
     }
     let (base, treat) = (base.expect("five trials ran"), treat.expect("five trials ran"));
-    let telemetry_overhead_ratio = if base.metrics.throughput_qps > 0.0 {
-        treat.metrics.throughput_qps / base.metrics.throughput_qps
+    let telemetry_overhead_ratio = if base.metrics.throughput_qps() > 0.0 {
+        treat.metrics.throughput_qps() / base.metrics.throughput_qps()
     } else {
         0.0
     };
@@ -719,7 +727,7 @@ pub fn bench(dataset: Dataset, spec: &BenchSpec) -> BenchReport {
     // The scheduler must shed or degrade that tail while hits overtake
     // it — the hit-rung p99 ratio is the headline number.
     let base = replay_on(Arc::clone(&ctx), &over_pool, &overload_cell_spec(spec, 0.5, None));
-    let deadline = base.metrics.latency_p99.max(Duration::from_millis(1));
+    let deadline = base.metrics.latency().quantile(0.99).max(Duration::from_millis(1));
     let treat =
         replay_on(Arc::clone(&ctx), &over_pool, &overload_cell_spec(spec, 2.0, Some(deadline)));
     let hit_p99 = |r: &ReplayReport| {
@@ -780,7 +788,8 @@ pub fn bench(dataset: Dataset, spec: &BenchSpec) -> BenchReport {
     let mut treat: Option<ShardedReplayReport> = None;
     for _ in 0..2 {
         let b = replay(city(spec.shard_scale * shard_count as f64, spec.seed + 99), &mono_spec);
-        if base.as_ref().is_none_or(|old| b.metrics.throughput_qps > old.metrics.throughput_qps) {
+        if base.as_ref().is_none_or(|old| b.metrics.throughput_qps() > old.metrics.throughput_qps())
+        {
             base = Some(b);
         }
         let regions: Vec<(String, Dataset)> = (0..shard_count)
@@ -789,15 +798,15 @@ pub fn bench(dataset: Dataset, spec: &BenchSpec) -> BenchReport {
         let t = replay_sharded(regions, &lane_spec);
         assert_eq!(t.misrouted, 0, "a replay stamps every request with its own region");
         if treat.as_ref().is_none_or(|old| {
-            t.merged_metrics().throughput_qps > old.merged_metrics().throughput_qps
+            t.merged_metrics().throughput_qps() > old.merged_metrics().throughput_qps()
         }) {
             treat = Some(t);
         }
     }
     let (base, treat) = (base.expect("two trials ran"), treat.expect("two trials ran"));
     let merged = treat.merged_metrics();
-    let speedup_shards = if base.metrics.throughput_qps > 0.0 {
-        merged.throughput_qps / base.metrics.throughput_qps
+    let speedup_shards = if base.metrics.throughput_qps() > 0.0 {
+        merged.throughput_qps() / base.metrics.throughput_qps()
     } else {
         0.0
     };
@@ -882,15 +891,15 @@ mod tests {
                 // The overloaded mode sheds instead of completing part of
                 // the stream; the accounting must still tile exactly.
                 assert_eq!(
-                    m.completed + m.rejected + m.shed_deadline,
+                    m.completed() + m.rejected + m.shed_deadline,
                     expect,
                     "{}/{}: every request completes or sheds",
                     run.workload,
                     run.mode
                 );
                 if run.mode == "uncontended" {
-                    assert_eq!(m.completed, expect, "no deadline, nothing to shed");
-                    assert_eq!(m.rejected + m.shed_deadline + m.approximate_served, 0);
+                    assert_eq!(m.completed(), expect, "no deadline, nothing to shed");
+                    assert_eq!(m.rejected + m.shed_deadline + m.approximate_served(), 0);
                 } else {
                     assert!(
                         run.report.met_deadline.is_some(),
@@ -898,19 +907,24 @@ mod tests {
                     );
                 }
             } else {
-                assert_eq!(m.completed, expect, "{}/{}", run.workload, run.mode);
+                assert_eq!(m.completed(), expect, "{}/{}", run.workload, run.mode);
             }
             // Coalesced / warm-start *counts* in reuse mode are
             // scheduling-dependent on a fast fixture; the deterministic
             // guarantees live in tests/coalescing.rs. Here only the mode
             // wiring and the correctness gate are asserted.
             if run.mode == "exact-match" {
-                assert_eq!(m.coalesced, 0);
-                assert_eq!(m.seeded_prefix + m.seeded_ancestor + m.seeded_suffix, 0);
+                assert_eq!(m.coalesced(), 0);
+                assert_eq!(
+                    m.seeded(SeedSource::Prefix)
+                        + m.seeded(SeedSource::Ancestor)
+                        + m.seeded(SeedSource::Suffix),
+                    0
+                );
             }
             if run.mode == "cold" {
                 assert_eq!(
-                    m.seeded_ancestor + m.seeded_suffix,
+                    m.seeded(SeedSource::Ancestor) + m.seeded(SeedSource::Suffix),
                     0,
                     "the hierarchy baseline runs without the new seed sources"
                 );
@@ -919,12 +933,12 @@ mod tests {
                 assert_eq!(run.report.epochs_published, 0, "static cells stay static");
             }
             if run.mode == "invalidate" {
-                assert_eq!(m.repairs, 0, "repair off in the baseline mode");
+                assert_eq!(m.repairs(), 0, "repair off in the baseline mode");
                 assert_eq!(m.repair_fallbacks, 0);
             }
             if run.workload == "hierarchy" && run.mode == "seeded" {
                 assert!(
-                    m.seeded_ancestor > 0 && m.seeded_suffix > 0,
+                    m.seeded(SeedSource::Ancestor) > 0 && m.seeded(SeedSource::Suffix) > 0,
                     "the hierarchy treatment must exercise both new seed sources: {m:?}"
                 );
             }

@@ -28,9 +28,10 @@
 //!   configuration; complex requirements canonicalize too), with entries
 //!   stamped by weight epoch (lazy invalidation; stale entries are never
 //!   served) and exact hit/miss/insertion/eviction/invalidation counters;
-//! * [`metrics`] — aggregate counters (searches, coalesced hits,
-//!   warm-started searches, stale serves) and recorded per-query
-//!   latencies, snapshotted into throughput / percentile reports;
+//! * [`metrics`] — per-rung latency histograms, from which every served
+//!   count (searches, coalesced hits, warm-started searches, …) is
+//!   derived, plus the stale/shed counters, snapshotted into throughput /
+//!   percentile reports;
 //! * [`replay`] — a workload-replay driver with three stream shapes
 //!   (Zipf, duplicate bursts, prefix chains), optional open-loop arrivals
 //!   and mid-stream weight-update bursts, and epoch-aware verification
@@ -103,7 +104,7 @@
 //!     assert!(!response.routes.is_empty());
 //! }
 //! let m = service.metrics();
-//! assert_eq!(m.completed, 8);
+//! assert_eq!(m.completed(), 8);
 //! ```
 //!
 //! The same engine serves over the network: [`net`] adds the `skysr-d`

@@ -1,4 +1,5 @@
-//! Aggregate service metrics: counters, latency histograms, snapshots.
+//! Aggregate service metrics: per-rung latency histograms (the source of
+//! every served count), the counters no rung can hold, snapshots.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -74,8 +75,8 @@ impl LatencyBreakdown {
     }
 }
 
-/// How one successfully answered query was served — drives which counters
-/// [`MetricsRecorder::record`] bumps.
+/// How one successfully answered query was served — picks the [`Rung`]
+/// histogram [`MetricsRecorder::record`] files the response under.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Served {
     /// A BSSR search ran; `seeded` records which cached skyline
@@ -114,30 +115,24 @@ pub enum Served {
 
 /// Shared recorder the workers write into.
 ///
-/// Counters and latency histograms are atomics (lock-free, contention-
-/// free recording); skyline sizes go into a mutex-guarded, size-capped
+/// Each answered query is recorded once, into the end-to-end latency
+/// histogram of its serving [`Rung`]; every count of answered queries
+/// (completed, executed, coalesced, seeded, repaired, approximate) is read
+/// off those histograms, so the counts agree by construction. Only what no
+/// rung can hold is kept beside them: the repair payload, the queue-wait
+/// and engine-time split, and the outcomes that answer nothing (failed,
+/// stale, rejected, shed). Histograms and counters are atomics (lock-free
+/// recording); skyline sizes go into a mutex-guarded, size-capped
 /// reservoir (one push per query — negligible next to a BSSR search).
-/// Latency is recorded as a [`LatencyBreakdown`]: end-to-end, queue-wait
-/// and engine-time each get their own histogram, and end-to-end is
-/// additionally keyed by serving [`Rung`] so per-rung tails are visible.
 #[derive(Debug, Default)]
 pub struct MetricsRecorder {
-    completed: AtomicU64,
     failed: AtomicU64,
-    executed: AtomicU64,
-    coalesced: AtomicU64,
-    seeded_prefix: AtomicU64,
-    seeded_ancestor: AtomicU64,
-    seeded_suffix: AtomicU64,
     stale_served: AtomicU64,
-    repairs: AtomicU64,
     repair_fallbacks: AtomicU64,
     routes_untouched: AtomicU64,
     routes_rescored: AtomicU64,
-    approximate_served: AtomicU64,
     rejected: AtomicU64,
     shed_deadline: AtomicU64,
-    latency: Histogram,
     queue_wait: Histogram,
     engine: Histogram,
     rungs: [Histogram; 8],
@@ -149,52 +144,19 @@ impl MetricsRecorder {
     /// queue-wait / service / engine split; `served` tells whether a
     /// search actually ran and how the answer was shared.
     pub fn record(&self, latency: LatencyBreakdown, skyline_size: usize, served: Served) {
-        self.completed.fetch_add(1, Ordering::Relaxed);
-        match served {
-            Served::Search { seeded } => {
-                self.executed.fetch_add(1, Ordering::Relaxed);
-                match seeded {
-                    Some(SeedSource::Prefix) => self.seeded_prefix.fetch_add(1, Ordering::Relaxed),
-                    Some(SeedSource::Ancestor) => {
-                        self.seeded_ancestor.fetch_add(1, Ordering::Relaxed)
-                    }
-                    Some(SeedSource::Suffix) => self.seeded_suffix.fetch_add(1, Ordering::Relaxed),
-                    None => 0,
-                };
-            }
-            Served::CacheHit => {}
-            Served::Coalesced => {
-                self.coalesced.fetch_add(1, Ordering::Relaxed);
-            }
-            Served::Repaired { fallback, routes_untouched, routes_rescored } => {
-                // A repair runs real graph work (legs / relevance ball /
-                // fallback search), so it counts as executed — `hits +
-                // coalesced + executed == completed` stays exact.
-                self.executed.fetch_add(1, Ordering::Relaxed);
-                if fallback {
-                    self.repair_fallbacks.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    self.repairs.fetch_add(1, Ordering::Relaxed);
-                }
-                self.routes_untouched.fetch_add(routes_untouched as u64, Ordering::Relaxed);
-                self.routes_rescored.fetch_add(routes_rescored as u64, Ordering::Relaxed);
-            }
-            Served::Approximate => {
-                // Not `executed`: that counter means "an engine run produced
-                // an exact answer" (the invariant the span audit checks).
-                // Approximate responses get their own term, so `completed ==
-                // executed + hits + coalesced + approximate_served` stays
-                // exact.
-                self.approximate_served.fetch_add(1, Ordering::Relaxed);
-            }
+        self.rungs[Rung::of(served).index()].record(latency.total());
+        if let Served::Repaired { fallback, routes_untouched, routes_rescored } = served {
+            // Release after the rung sample: a snapshot that sees this
+            // fallback (Acquire) also sees its `Repaired` sample, so
+            // `repairs()` never goes negative.
+            self.repair_fallbacks.fetch_add(u64::from(fallback), Ordering::Release);
+            self.routes_untouched.fetch_add(routes_untouched as u64, Ordering::Relaxed);
+            self.routes_rescored.fetch_add(routes_rescored as u64, Ordering::Relaxed);
         }
-        let total = latency.total();
-        self.latency.record(total);
         self.queue_wait.record(latency.queue_wait);
         if let Some(engine) = latency.engine {
             self.engine.record(engine);
         }
-        self.rungs[Rung::of(served).index()].record(total);
         self.samples
             .lock()
             .expect("metrics poisoned")
@@ -243,38 +205,17 @@ impl MetricsRecorder {
         cache: CacheCounters,
         epochs: EpochGcStats,
     ) -> MetricsSnapshot {
+        let repair_fallbacks = self.repair_fallbacks.load(Ordering::Acquire);
         let sizes = self.samples.lock().expect("metrics poisoned").samples.clone();
-        let completed = self.completed.load(Ordering::Relaxed);
-        let executed = self.executed.load(Ordering::Relaxed);
-        let latency_hist = self.latency.snapshot();
         MetricsSnapshot {
-            completed,
             failed: self.failed.load(Ordering::Relaxed),
-            executed,
-            coalesced: self.coalesced.load(Ordering::Relaxed),
-            seeded_prefix: self.seeded_prefix.load(Ordering::Relaxed),
-            seeded_ancestor: self.seeded_ancestor.load(Ordering::Relaxed),
-            seeded_suffix: self.seeded_suffix.load(Ordering::Relaxed),
             stale_served: self.stale_served.load(Ordering::Relaxed),
-            repairs: self.repairs.load(Ordering::Relaxed),
-            repair_fallbacks: self.repair_fallbacks.load(Ordering::Relaxed),
+            repair_fallbacks,
             routes_untouched: self.routes_untouched.load(Ordering::Relaxed),
             routes_rescored: self.routes_rescored.load(Ordering::Relaxed),
-            approximate_served: self.approximate_served.load(Ordering::Relaxed),
             rejected: self.rejected.load(Ordering::Relaxed),
             shed_deadline: self.shed_deadline.load(Ordering::Relaxed),
             wall,
-            throughput_qps: if wall.as_secs_f64() > 0.0 {
-                completed as f64 / wall.as_secs_f64()
-            } else {
-                0.0
-            },
-            latency_mean: latency_hist.mean(),
-            latency_p50: latency_hist.quantile(0.50),
-            latency_p90: latency_hist.quantile(0.90),
-            latency_p99: latency_hist.quantile(0.99),
-            latency_max: latency_hist.max(),
-            latency_hist,
             queue_wait_hist: self.queue_wait.snapshot(),
             engine_hist: self.engine.snapshot(),
             rungs: Rung::ALL
@@ -294,39 +235,23 @@ impl MetricsRecorder {
 }
 
 /// Aggregate view of a service's activity over an observation window.
+///
+/// Counts of answered queries and the end-to-end latency summaries are
+/// accessors computed from `rungs` ([`MetricsSnapshot::completed`],
+/// [`MetricsSnapshot::latency`], …), so they cannot disagree with the
+/// per-rung histograms. `completed() == executed() + ExactHit count +
+/// coalesced() + approximate_served()` holds by construction.
 #[derive(Clone, Debug)]
 pub struct MetricsSnapshot {
-    /// Queries answered successfully (cache hits included).
-    pub completed: u64,
     /// Queries rejected by validation.
     pub failed: u64,
-    /// Queries that ran an actual BSSR search.
-    pub executed: u64,
-    /// Queries answered by joining another request's in-flight search
-    /// (request coalescing). `executed + coalesced + cache hits =
-    /// completed`.
-    pub coalesced: u64,
-    /// Searches warm-started from a cached *prefix* skyline (semantic
-    /// reuse); a subset of `executed`.
-    pub seeded_prefix: u64,
-    /// Searches warm-started from a cached *ancestor-category* variant's
-    /// skyline (a position's category replaced by one of its ancestors);
-    /// a subset of `executed`.
-    pub seeded_ancestor: u64,
-    /// Searches warm-started from a cached *suffix* skyline (⟨c₂…c_k⟩
-    /// prepended one leg); a subset of `executed`.
-    pub seeded_suffix: u64,
     /// Responses served from a cache entry of a *different* weight epoch
     /// than the request was pinned to. Always zero unless the
     /// epoch-invalidation layer is broken — the CI staleness gate asserts
     /// on it.
     pub stale_served: u64,
-    /// Cached skylines promoted to a newer epoch by incremental repair
-    /// (the cheap tiers: untouched / rescored), without a full re-search.
-    /// A subset of `executed`.
-    pub repairs: u64,
     /// Repair attempts that had to fall back to a full warm-seeded
-    /// re-search. Also a subset of `executed`; `repairs +
+    /// re-search. A subset of the `Repaired` rung; `repairs() +
     /// repair_fallbacks` is the total number of repair attempts.
     pub repair_fallbacks: u64,
     /// Cached routes proven untouched by repair's lower-bound tier (no
@@ -335,13 +260,6 @@ pub struct MetricsSnapshot {
     /// Cached routes whose shortest-path legs were re-run at the new
     /// epoch, summed over all repair attempts.
     pub routes_rescored: u64,
-    /// Responses served in degraded mode: the deadline expired mid-engine
-    /// and the partial skyline proven so far was returned flagged
-    /// approximate (leaders of truncated flights plus any requests
-    /// coalesced onto them). Counted in `completed` — the caller got a
-    /// valid (if incomplete) answer. `completed == executed + cache hits +
-    /// coalesced + approximate_served`.
-    pub approximate_served: u64,
     /// Requests the admission gate refused before queueing: deadline
     /// judged unmeetable under the current backlog. Answered
     /// `Overloaded`; counted in neither `completed` nor `failed`.
@@ -352,30 +270,16 @@ pub struct MetricsSnapshot {
     pub shed_deadline: u64,
     /// Observation window.
     pub wall: Duration,
-    /// Completed queries per second of the window.
-    pub throughput_qps: f64,
-    /// Mean submission-to-completion latency (exact, over every response).
-    pub latency_mean: Duration,
-    /// Median latency (log-bucketed: within 1/32 above the true value).
-    pub latency_p50: Duration,
-    /// 90th-percentile latency.
-    pub latency_p90: Duration,
-    /// 99th-percentile latency.
-    pub latency_p99: Duration,
-    /// Worst observed latency (exact).
-    pub latency_max: Duration,
-    /// Full end-to-end latency histogram (every response; queueing
-    /// included), mergeable across snapshots.
-    pub latency_hist: HistogramSnapshot,
     /// Submission-to-dequeue wait histogram — the queueing share of
-    /// `latency_hist`, split out so open-loop saturation shows honest
-    /// service time.
+    /// [`MetricsSnapshot::latency`], split out so open-loop saturation
+    /// shows honest service time.
     pub queue_wait_hist: HistogramSnapshot,
     /// Engine-execution histogram (search / repair time only; one sample
     /// per response that actually ran an engine).
     pub engine_hist: HistogramSnapshot,
     /// Per-rung end-to-end latency histograms, ladder order (one entry
-    /// per [`Rung`], empty histograms included).
+    /// per [`Rung`], empty histograms included). The source of every
+    /// answered-query count.
     pub rungs: Vec<RungSummary>,
     /// Mean number of skyline routes per answer.
     pub mean_skyline_size: f64,
@@ -389,21 +293,85 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
+    /// Responses served by `rung`.
+    pub fn rung_count(&self, rung: Rung) -> u64 {
+        self.rungs.iter().filter(|s| s.rung == rung).map(|s| s.hist.count()).sum()
+    }
+
+    /// Queries answered successfully (every rung, approximate included).
+    pub fn completed(&self) -> u64 {
+        self.rungs.iter().map(|s| s.hist.count()).sum()
+    }
+
+    /// Queries whose engine run produced an exact answer: repairs (any
+    /// tier), warm-started and cold searches.
+    pub fn executed(&self) -> u64 {
+        [Rung::Repaired, Rung::WarmPrefix, Rung::WarmAncestor, Rung::WarmSuffix, Rung::Cold]
+            .into_iter()
+            .map(|r| self.rung_count(r))
+            .sum()
+    }
+
+    /// Queries answered by joining another request's in-flight search
+    /// (request coalescing).
+    pub fn coalesced(&self) -> u64 {
+        self.rung_count(Rung::Coalesced)
+    }
+
+    /// Searches warm-started from a cached skyline of `source` (semantic
+    /// reuse); a subset of `executed()`.
+    pub fn seeded(&self, source: SeedSource) -> u64 {
+        self.rung_count(Rung::of(Served::Search { seeded: Some(source) }))
+    }
+
+    /// Cached skylines promoted to a newer epoch by incremental repair
+    /// (the cheap tiers: untouched / rescored), without a full re-search:
+    /// the `Repaired` rung less its fallbacks.
+    pub fn repairs(&self) -> u64 {
+        self.rung_count(Rung::Repaired).saturating_sub(self.repair_fallbacks)
+    }
+
+    /// Responses served in degraded mode: the deadline expired mid-engine
+    /// and the partial skyline proven so far was returned flagged
+    /// approximate (leaders of truncated flights plus any requests
+    /// coalesced onto them). Counted in `completed()` — the caller got a
+    /// valid (if incomplete) answer.
+    pub fn approximate_served(&self) -> u64 {
+        self.rung_count(Rung::Approximate)
+    }
+
+    /// End-to-end latency histogram over every response (queueing
+    /// included): the merge of the rung histograms.
+    pub fn latency(&self) -> HistogramSnapshot {
+        let mut all = HistogramSnapshot::default();
+        for s in &self.rungs {
+            all.merge(&s.hist);
+        }
+        all
+    }
+
+    /// Completed queries per second of the window.
+    pub fn throughput_qps(&self) -> f64 {
+        if self.wall.as_secs_f64() > 0.0 {
+            self.completed() as f64 / self.wall.as_secs_f64()
+        } else {
+            0.0
+        }
+    }
+
     /// Folds `other` into `self` — how a [`crate::shard::Router`] builds
     /// the deployment-wide aggregate out of per-shard snapshots.
     ///
     /// Counters and histograms add exactly (bucket boundaries are fixed,
-    /// so histogram merging loses nothing); the latency summaries are
-    /// recomputed from the merged histogram. `wall` is the *longest* of
-    /// the two windows — shards serve concurrently, not back-to-back —
-    /// and `throughput_qps` is total completed over that window.
+    /// so histogram merging loses nothing). `wall` is the *longest* of
+    /// the two windows — shards serve concurrently, not back-to-back.
     /// `mean_skyline_size` is the completed-weighted combination of two
     /// sampled means. Cache counters sum; the epoch/GC gauges sum except
     /// `retention`, reported as the largest configured ring (each shard
     /// owns its own ring — there is no shared retention to report).
     pub fn merge(&mut self, other: &MetricsSnapshot) {
-        let self_weight = self.completed as f64;
-        let other_weight = other.completed as f64;
+        let self_weight = self.completed() as f64;
+        let other_weight = other.completed() as f64;
         if self_weight + other_weight > 0.0 {
             self.mean_skyline_size = (self.mean_skyline_size * self_weight
                 + other.mean_skyline_size * other_weight)
@@ -411,37 +379,18 @@ impl MetricsSnapshot {
         }
         self.max_skyline_size = self.max_skyline_size.max(other.max_skyline_size);
 
-        self.completed += other.completed;
         self.failed += other.failed;
-        self.executed += other.executed;
-        self.coalesced += other.coalesced;
-        self.seeded_prefix += other.seeded_prefix;
-        self.seeded_ancestor += other.seeded_ancestor;
-        self.seeded_suffix += other.seeded_suffix;
         self.stale_served += other.stale_served;
-        self.repairs += other.repairs;
         self.repair_fallbacks += other.repair_fallbacks;
         self.routes_untouched += other.routes_untouched;
         self.routes_rescored += other.routes_rescored;
-        self.approximate_served += other.approximate_served;
         self.rejected += other.rejected;
         self.shed_deadline += other.shed_deadline;
 
         self.wall = self.wall.max(other.wall);
-        self.throughput_qps = if self.wall.as_secs_f64() > 0.0 {
-            self.completed as f64 / self.wall.as_secs_f64()
-        } else {
-            0.0
-        };
 
-        self.latency_hist.merge(&other.latency_hist);
         self.queue_wait_hist.merge(&other.queue_wait_hist);
         self.engine_hist.merge(&other.engine_hist);
-        self.latency_mean = self.latency_hist.mean();
-        self.latency_p50 = self.latency_hist.quantile(0.50);
-        self.latency_p90 = self.latency_hist.quantile(0.90);
-        self.latency_p99 = self.latency_hist.quantile(0.99);
-        self.latency_max = self.latency_hist.max();
         for (mine, theirs) in self.rungs.iter_mut().zip(&other.rungs) {
             debug_assert_eq!(mine.rung, theirs.rung, "rung summaries are ladder-ordered");
             mine.hist.merge(&theirs.hist);
@@ -468,35 +417,38 @@ impl std::fmt::Display for MetricsSnapshot {
         fn ms(d: Duration) -> f64 {
             d.as_secs_f64() * 1e3
         }
-        writeln!(f, "queries     {} completed, {} failed", self.completed, self.failed)?;
-        let shared = self.completed - self.executed.min(self.completed);
+        let latency = self.latency();
+        let (hits, coalesced) = (self.rung_count(Rung::ExactHit), self.coalesced());
+        writeln!(f, "queries     {} completed, {} failed", self.completed(), self.failed)?;
         writeln!(
             f,
             "executed    {} searches ({} answers shared: {} cache hits, {} coalesced)",
-            self.executed,
-            shared,
-            shared - self.coalesced.min(shared),
-            self.coalesced
+            self.executed(),
+            hits + coalesced,
+            hits,
+            coalesced
         )?;
         writeln!(
             f,
             "reuse       {} prefix-, {} ancestor-, {} suffix-seeded warm starts",
-            self.seeded_prefix, self.seeded_ancestor, self.seeded_suffix
+            self.seeded(SeedSource::Prefix),
+            self.seeded(SeedSource::Ancestor),
+            self.seeded(SeedSource::Suffix)
         )?;
         writeln!(
             f,
             "throughput  {:.1} queries/s over {:.2} s",
-            self.throughput_qps,
+            self.throughput_qps(),
             self.wall.as_secs_f64()
         )?;
         writeln!(
             f,
             "latency     mean {:.3} ms  p50 {:.3} ms  p90 {:.3} ms  p99 {:.3} ms  max {:.3} ms",
-            ms(self.latency_mean),
-            ms(self.latency_p50),
-            ms(self.latency_p90),
-            ms(self.latency_p99),
-            ms(self.latency_max)
+            ms(latency.mean()),
+            ms(latency.quantile(0.50)),
+            ms(latency.quantile(0.90)),
+            ms(latency.quantile(0.99)),
+            ms(latency.max())
         )?;
         writeln!(
             f,
@@ -547,13 +499,18 @@ impl std::fmt::Display for MetricsSnapshot {
             f,
             "repair      {} skylines repaired in place, {} fell back to re-search ({} routes \
              untouched, {} rescored)",
-            self.repairs, self.repair_fallbacks, self.routes_untouched, self.routes_rescored
+            self.repairs(),
+            self.repair_fallbacks,
+            self.routes_untouched,
+            self.routes_rescored
         )?;
         writeln!(
             f,
             "overload    {} rejected at admission, {} shed expired in queue, {} served \
              approximate",
-            self.rejected, self.shed_deadline, self.approximate_served
+            self.rejected,
+            self.shed_deadline,
+            self.approximate_served()
         )?;
         {
             let e = &self.epochs;
@@ -605,10 +562,10 @@ mod tests {
         drop(inner);
         let snap =
             rec.snapshot(Duration::from_secs(1), CacheCounters::default(), EpochGcStats::default());
-        assert_eq!(snap.completed, SAMPLE_CAP as u64 + 10_000);
+        assert_eq!(snap.completed(), SAMPLE_CAP as u64 + 10_000);
         // Histograms summarise *every* sample, not a reservoir subset.
-        assert_eq!(snap.latency_hist.count(), SAMPLE_CAP as u64 + 10_000);
-        assert_bucketed(snap.latency_p50, Duration::from_micros(5));
+        assert_eq!(snap.latency().count(), SAMPLE_CAP as u64 + 10_000);
+        assert_bucketed(snap.latency().quantile(0.50), Duration::from_micros(5));
     }
 
     #[test]
@@ -623,35 +580,32 @@ mod tests {
         rec.record_failure();
         let snap =
             rec.snapshot(Duration::from_secs(2), CacheCounters::default(), EpochGcStats::default());
-        assert_eq!(snap.completed, 6);
-        assert_eq!(snap.executed, 4);
-        assert_eq!(snap.coalesced, 1);
-        assert_eq!(snap.seeded_prefix, 1);
-        assert_eq!(snap.seeded_ancestor, 1);
-        assert_eq!(snap.seeded_suffix, 1);
+        assert_eq!(snap.completed(), 6);
+        assert_eq!(snap.executed(), 4);
+        assert_eq!(snap.coalesced(), 1);
+        assert_eq!(snap.seeded(SeedSource::Prefix), 1);
+        assert_eq!(snap.seeded(SeedSource::Ancestor), 1);
+        assert_eq!(snap.seeded(SeedSource::Suffix), 1);
         assert_eq!(snap.failed, 1);
-        assert!((snap.throughput_qps - 3.0).abs() < 1e-12);
-        assert_bucketed(snap.latency_p50, Duration::from_micros(130));
-        assert_eq!(snap.latency_max, Duration::from_micros(300), "max is tracked exactly");
+        assert!((snap.throughput_qps() - 3.0).abs() < 1e-12);
+        assert_bucketed(snap.latency().quantile(0.50), Duration::from_micros(130));
+        assert_eq!(snap.latency().max(), Duration::from_micros(300), "max is tracked exactly");
         assert!((snap.mean_skyline_size - 2.5).abs() < 1e-12);
         assert_eq!(snap.max_skyline_size, 4);
         // Per-rung histograms partition the responses.
-        let count_of = |r: Rung| {
-            snap.rungs.iter().find(|s| s.rung == r).expect("all rungs present").hist.count()
-        };
-        assert_eq!(count_of(Rung::Cold), 1);
-        assert_eq!(count_of(Rung::ExactHit), 1);
-        assert_eq!(count_of(Rung::Coalesced), 1);
-        assert_eq!(count_of(Rung::WarmPrefix), 1);
-        assert_eq!(count_of(Rung::WarmAncestor), 1);
-        assert_eq!(count_of(Rung::WarmSuffix), 1);
-        assert_eq!(count_of(Rung::Repaired), 0);
-        assert_eq!(snap.rungs.iter().map(|s| s.hist.count()).sum::<u64>(), snap.completed);
+        assert_eq!(snap.rungs.len(), Rung::ALL.len(), "all rungs present");
+        assert_eq!(snap.rung_count(Rung::Cold), 1);
+        assert_eq!(snap.rung_count(Rung::ExactHit), 1);
+        assert_eq!(snap.rung_count(Rung::Coalesced), 1);
+        assert_eq!(snap.rung_count(Rung::WarmPrefix), 1);
+        assert_eq!(snap.rung_count(Rung::WarmAncestor), 1);
+        assert_eq!(snap.rung_count(Rung::WarmSuffix), 1);
+        assert_eq!(snap.rung_count(Rung::Repaired), 0);
         // The report renders without panicking and mentions the headline
         // numbers.
         let text = snap.to_string();
         assert!(text.contains("6 completed"), "{text}");
-        assert!(text.contains("1 coalesced"), "{text}");
+        assert!(text.contains("2 answers shared: 1 cache hits, 1 coalesced"), "{text}");
         assert!(text.contains("1 prefix-, 1 ancestor-, 1 suffix-seeded"), "{text}");
         assert!(text.contains("queries/s"), "{text}");
         assert!(text.contains("0 stale serves"), "{text}");
@@ -678,7 +632,7 @@ mod tests {
         }
         let snap =
             rec.snapshot(Duration::from_secs(1), CacheCounters::default(), EpochGcStats::default());
-        assert_bucketed(snap.latency_p50, Duration::from_micros(1_010));
+        assert_bucketed(snap.latency().quantile(0.50), Duration::from_micros(1_010));
         assert_bucketed(snap.queue_wait_hist.quantile(0.5), Duration::from_millis(1));
         assert_bucketed(snap.engine_hist.quantile(0.5), Duration::from_micros(8));
         assert_eq!(snap.engine_hist.count(), 100);
@@ -687,7 +641,7 @@ mod tests {
         let snap =
             rec.snapshot(Duration::from_secs(1), CacheCounters::default(), EpochGcStats::default());
         assert_eq!(snap.engine_hist.count(), 100);
-        assert_eq!(snap.latency_hist.count(), 101);
+        assert_eq!(snap.latency().count(), 101);
     }
 
     #[test]
@@ -705,22 +659,112 @@ mod tests {
             rec.snapshot(Duration::from_secs(1), CacheCounters::default(), EpochGcStats::default());
         // Shed requests never reach `completed` or `failed`; approximate
         // responses complete without counting as exact executions.
-        assert_eq!(snap.completed, 5);
+        assert_eq!(snap.completed(), 5);
         assert_eq!(snap.failed, 0);
-        assert_eq!(snap.executed, 1);
-        assert_eq!(snap.approximate_served, 2);
+        assert_eq!(snap.executed(), 1);
+        assert_eq!(snap.approximate_served(), 2);
         assert_eq!(snap.rejected, 1);
         assert_eq!(snap.shed_deadline, 2);
-        let hits = snap.rungs.iter().find(|s| s.rung == Rung::ExactHit).unwrap().hist.count();
-        assert_eq!(snap.completed, snap.executed + hits + snap.coalesced + snap.approximate_served);
-        let approx = snap.rungs.iter().find(|s| s.rung == Rung::Approximate).unwrap();
-        assert_eq!(approx.hist.count(), 2);
-        assert_eq!(snap.rungs.iter().map(|s| s.hist.count()).sum::<u64>(), snap.completed);
+        let hits = snap.rung_count(Rung::ExactHit);
+        assert_eq!(hits, 1);
+        assert_eq!(
+            snap.completed(),
+            snap.executed() + hits + snap.coalesced() + snap.approximate_served()
+        );
         let text = snap.to_string();
+        // Approximate responses are neither executed searches nor cache
+        // hits: the shared-answer split counts the ExactHit rung only.
+        assert!(text.contains("2 answers shared: 1 cache hits, 1 coalesced"), "{text}");
         assert!(text.contains("1 rejected at admission"), "{text}");
         assert!(text.contains("2 shed expired in queue"), "{text}");
         assert!(text.contains("2 served approximate"), "{text}");
         assert!(text.contains("approximate"), "{text}");
+    }
+
+    #[test]
+    fn repair_counts_split_the_repaired_rung() {
+        let rec = MetricsRecorder::default();
+        let repaired = |fallback, routes_untouched, routes_rescored| Served::Repaired {
+            fallback,
+            routes_untouched,
+            routes_rescored,
+        };
+        rec.record(lat(20), 3, repaired(false, 2, 1));
+        rec.record(lat(25), 2, repaired(false, 0, 2));
+        rec.record(lat(90), 2, repaired(true, 0, 0));
+        let snap =
+            rec.snapshot(Duration::from_secs(1), CacheCounters::default(), EpochGcStats::default());
+        assert_eq!(snap.rung_count(Rung::Repaired), 3);
+        assert_eq!(snap.executed(), 3, "every repair tier is executed work");
+        assert_eq!((snap.repairs(), snap.repair_fallbacks), (2, 1));
+        assert_eq!((snap.routes_untouched, snap.routes_rescored), (2, 3));
+        assert!(snap.to_string().contains("2 skylines repaired in place, 1 fell back"), "{snap}");
+    }
+
+    #[test]
+    fn snapshots_taken_while_recording_keep_the_partition_exact() {
+        use std::sync::atomic::AtomicBool;
+        let rec = MetricsRecorder::default();
+        let done = AtomicBool::new(false);
+        let outcomes = [
+            Served::Search { seeded: None },
+            Served::Search { seeded: Some(SeedSource::Prefix) },
+            Served::Search { seeded: Some(SeedSource::Ancestor) },
+            Served::Search { seeded: Some(SeedSource::Suffix) },
+            Served::CacheHit,
+            Served::Coalesced,
+            Served::Repaired { fallback: false, routes_untouched: 1, routes_rescored: 0 },
+            Served::Repaired { fallback: true, routes_untouched: 0, routes_rescored: 1 },
+            Served::Approximate,
+        ];
+        const PER_THREAD: u64 = 20_000;
+        let snapshots = std::thread::scope(|s| {
+            for t in 0..3u64 {
+                let rec = &rec;
+                s.spawn(move || {
+                    for i in 0..PER_THREAD {
+                        let served = outcomes[((i + t) % outcomes.len() as u64) as usize];
+                        rec.record(lat(1 + i % 50), 1, served);
+                    }
+                });
+            }
+            let reader = s.spawn(|| {
+                let mut taken = 0u64;
+                while !done.load(Ordering::Relaxed) || taken == 0 {
+                    let snap = rec.snapshot(
+                        Duration::from_secs(1),
+                        CacheCounters::default(),
+                        EpochGcStats::default(),
+                    );
+                    let hits = snap.rung_count(Rung::ExactHit);
+                    assert_eq!(
+                        snap.completed(),
+                        snap.executed() + hits + snap.coalesced() + snap.approximate_served(),
+                        "{snap}"
+                    );
+                    let by_rung: u64 = Rung::ALL.iter().map(|&r| snap.rung_count(r)).sum();
+                    assert_eq!(by_rung, snap.completed());
+                    assert_eq!(snap.latency().count(), snap.completed());
+                    assert!(
+                        snap.repair_fallbacks <= snap.rung_count(Rung::Repaired),
+                        "a fallback is never visible before its repaired sample"
+                    );
+                    taken += 1;
+                }
+                taken
+            });
+            // Recorders finish first (scope joins them only at its end, so
+            // wait for the totals to land before releasing the reader).
+            while rec.rungs.iter().map(Histogram::count).sum::<u64>() < 3 * PER_THREAD {
+                std::thread::yield_now();
+            }
+            done.store(true, Ordering::Relaxed);
+            reader.join().expect("reader thread")
+        });
+        assert!(snapshots > 0);
+        let snap =
+            rec.snapshot(Duration::from_secs(1), CacheCounters::default(), EpochGcStats::default());
+        assert_eq!(snap.completed(), 3 * PER_THREAD);
     }
 
     #[test]

@@ -622,32 +622,43 @@ fn take_histogram(r: &mut Reader<'_>) -> Result<HistogramSnapshot, ProtocolError
     Ok(HistogramSnapshot::from_parts(buckets, count, sum_ns, max_ns))
 }
 
+/// The MetricsRep payload. Its layout predates the derived counts: the
+/// slots for completed/executed/…/approximate, throughput, the latency
+/// summaries and the all-rung histogram are filled from the rung
+/// histograms, so every client decodes the same bytes as before.
 fn put_metrics(out: &mut Vec<u8>, m: &MetricsSnapshot) {
+    let latency = m.latency();
     for v in [
-        m.completed,
+        m.completed(),
         m.failed,
-        m.executed,
-        m.coalesced,
-        m.seeded_prefix,
-        m.seeded_ancestor,
-        m.seeded_suffix,
+        m.executed(),
+        m.coalesced(),
+        m.seeded(SeedSource::Prefix),
+        m.seeded(SeedSource::Ancestor),
+        m.seeded(SeedSource::Suffix),
         m.stale_served,
-        m.repairs,
+        m.repairs(),
         m.repair_fallbacks,
         m.routes_untouched,
         m.routes_rescored,
-        m.approximate_served,
+        m.approximate_served(),
         m.rejected,
         m.shed_deadline,
     ] {
         put_u64(out, v);
     }
     put_duration(out, m.wall);
-    put_f64(out, m.throughput_qps);
-    for d in [m.latency_mean, m.latency_p50, m.latency_p90, m.latency_p99, m.latency_max] {
+    put_f64(out, m.throughput_qps());
+    for d in [
+        latency.mean(),
+        latency.quantile(0.50),
+        latency.quantile(0.90),
+        latency.quantile(0.99),
+        latency.max(),
+    ] {
         put_duration(out, d);
     }
-    put_histogram(out, &m.latency_hist);
+    put_histogram(out, &latency);
     put_histogram(out, &m.queue_wait_hist);
     put_histogram(out, &m.engine_hist);
     put_u8(out, m.rungs.len() as u8);
@@ -676,30 +687,30 @@ fn put_metrics(out: &mut Vec<u8>, m: &MetricsSnapshot) {
     put_u64(out, m.epochs.overlay_len as u64);
 }
 
+/// Decodes a MetricsRep. The derived slots (see [`put_metrics`]) are read
+/// and dropped: the snapshot recomputes them from the rung histograms,
+/// where an older server's separately kept counters could trail or lead
+/// them by in-flight requests.
 fn take_metrics(r: &mut Reader<'_>) -> Result<MetricsSnapshot, ProtocolError> {
-    let completed = r.u64()?;
+    r.u64()?; // completed
     let failed = r.u64()?;
-    let executed = r.u64()?;
-    let coalesced = r.u64()?;
-    let seeded_prefix = r.u64()?;
-    let seeded_ancestor = r.u64()?;
-    let seeded_suffix = r.u64()?;
+    for _executed_coalesced_and_three_seeded in 0..5 {
+        r.u64()?;
+    }
     let stale_served = r.u64()?;
-    let repairs = r.u64()?;
+    r.u64()?; // repairs
     let repair_fallbacks = r.u64()?;
     let routes_untouched = r.u64()?;
     let routes_rescored = r.u64()?;
-    let approximate_served = r.u64()?;
+    r.u64()?; // approximate served
     let rejected = r.u64()?;
     let shed_deadline = r.u64()?;
     let wall = r.duration()?;
-    let throughput_qps = r.f64()?;
-    let latency_mean = r.duration()?;
-    let latency_p50 = r.duration()?;
-    let latency_p90 = r.duration()?;
-    let latency_p99 = r.duration()?;
-    let latency_max = r.duration()?;
-    let latency_hist = take_histogram(r)?;
+    r.f64()?; // throughput
+    for _latency_mean_p50_p90_p99_max in 0..5 {
+        r.duration()?;
+    }
+    take_histogram(r)?; // all-rung latency
     let queue_wait_hist = take_histogram(r)?;
     let engine_hist = take_histogram(r)?;
     let nrungs = r.u8()? as usize;
@@ -731,29 +742,14 @@ fn take_metrics(r: &mut Reader<'_>) -> Result<MetricsSnapshot, ProtocolError> {
         overlay_len: r.u64()? as usize,
     };
     Ok(MetricsSnapshot {
-        completed,
         failed,
-        executed,
-        coalesced,
-        seeded_prefix,
-        seeded_ancestor,
-        seeded_suffix,
         stale_served,
-        repairs,
         repair_fallbacks,
         routes_untouched,
         routes_rescored,
-        approximate_served,
         rejected,
         shed_deadline,
         wall,
-        throughput_qps,
-        latency_mean,
-        latency_p50,
-        latency_p90,
-        latency_p99,
-        latency_max,
-        latency_hist,
         queue_wait_hist,
         engine_hist,
         rungs,
@@ -1374,9 +1370,9 @@ mod tests {
         let Frame::MetricsRep(back) = roundtrip(&Frame::MetricsRep(Box::new(m.clone()))) else {
             panic!("wrong frame");
         };
-        assert_eq!(back.completed, m.completed);
+        assert_eq!(back.completed(), m.completed());
         assert_eq!(back.stale_served, 1);
-        assert_eq!(back.latency_hist, m.latency_hist);
+        assert_eq!(back.latency(), m.latency());
         assert_eq!(back.queue_wait_hist, m.queue_wait_hist);
         assert_eq!(back.engine_hist, m.engine_hist);
         assert_eq!(back.rungs.len(), m.rungs.len());
@@ -1386,8 +1382,99 @@ mod tests {
         }
         assert_eq!(back.cache, m.cache);
         assert_eq!(back.epochs, m.epochs);
-        assert_eq!(back.throughput_qps.to_bits(), m.throughput_qps.to_bits());
-        assert_eq!(back.latency_p99, m.latency_p99);
+        assert_eq!(back.throughput_qps().to_bits(), m.throughput_qps().to_bits());
+    }
+
+    #[test]
+    fn metrics_rep_bytes_match_the_counter_era_layout() {
+        // A fixed recorder state touching every rung and every counter
+        // slot. The expected bytes were captured from the encoder that
+        // wrote hand-kept counters and an all-rung histogram; the derived
+        // values must fill the same slots byte for byte.
+        use crate::metrics::{LatencyBreakdown, MetricsRecorder};
+        let rec = MetricsRecorder::default();
+        let lat = |q: u64, s: u64, e: Option<u64>| LatencyBreakdown {
+            queue_wait: Duration::from_micros(q),
+            service: Duration::from_micros(s),
+            engine: e.map(Duration::from_micros),
+        };
+        rec.record(lat(3, 40, Some(35)), 2, Served::Search { seeded: None });
+        rec.record(lat(1, 2, None), 2, Served::CacheHit);
+        rec.record(lat(2, 3, None), 3, Served::CacheHit);
+        rec.record(lat(4, 9, None), 2, Served::Coalesced);
+        rec.record(lat(5, 70, Some(60)), 4, Served::Search { seeded: Some(SeedSource::Prefix) });
+        rec.record(lat(6, 80, Some(66)), 1, Served::Search { seeded: Some(SeedSource::Ancestor) });
+        rec.record(lat(7, 90, Some(77)), 2, Served::Search { seeded: Some(SeedSource::Suffix) });
+        rec.record(
+            lat(8, 30, Some(20)),
+            3,
+            Served::Repaired { fallback: false, routes_untouched: 3, routes_rescored: 1 },
+        );
+        rec.record(
+            lat(9, 300, Some(280)),
+            2,
+            Served::Repaired { fallback: true, routes_untouched: 0, routes_rescored: 2 },
+        );
+        rec.record(lat(10, 500, Some(490)), 1, Served::Approximate);
+        rec.record_failure();
+        rec.record_stale_serve();
+        rec.record_rejected();
+        rec.record_shed_deadline();
+        rec.record_shed_deadline();
+        let m = rec.snapshot(
+            Duration::from_millis(7),
+            CacheCounters {
+                hits: 2,
+                misses: 7,
+                insertions: 6,
+                evictions: 1,
+                invalidations: 3,
+                len: 5,
+            },
+            EpochGcStats {
+                retained: 2,
+                retained_max: 3,
+                retention: 4,
+                compacted: 5,
+                rebases: 1,
+                overlay_len: 6,
+            },
+        );
+        let mut out = Vec::new();
+        put_metrics(&mut out, &m);
+        let hex: String = out.iter().map(|b| format!("{b:02x}")).collect();
+        let golden = [
+            "0a0000000000000001000000000000000600000000000000010000000000000001000000000000000100000000000000",
+            "010000000000000001000000000000000100000000000000010000000000000003000000000000000300000000000000",
+            "010000000000000001000000000000000200000000000000c0cf6a000000000024499224495296408ccc010000000000",
+            "ffa7000000000000ffbf04000000000030c807000000000030c80700000000000a000000ee0000000100000000000000",
+            "070100000100000000000000320100000100000000000000650100000100000000000000690100000100000000000000",
+            "8401000001000000000000008901000001000000000000008f0100000100000000000000c50100000100000000000000",
+            "de01000001000000000000000a0000000000000078fd11000000000030c80700000000000a000000be00000001000000",
+            "00000000de0000000100000000000000ee0000000100000000000000fe00000001000000000000000701000001000000",
+            "000000000e01000001000000000000001601000001000000000000001e01000001000000000000002301000001000000",
+            "000000002701000001000000000000000a00000000000000d8d600000000000010270000000000000700000047010000",
+            "01000000000000006201000001000000000000007a010000010000000000000080010000010000000000000085010000",
+            "0100000000000000c20100000100000000000000db01000001000000000000000700000000000000a0af0f0000000000",
+            "107a070000000000080002000000ee00000001000000000000000701000001000000000000000200000000000000401f",
+            "000000000000881300000000000001010000003201000001000000000000000100000000000000c832000000000000c8",
+            "320000000000000202000000650100000100000000000000c501000001000000000000000200000000000000784b0500",
+            "0000000008b704000000000003010000008401000001000000000000000100000000000000f824010000000000f82401",
+            "000000000004010000008901000001000000000000000100000000000000f04f010000000000f04f0100000000000501",
+            "0000008f01000001000000000000000100000000000000e87a010000000000e87a010000000000060100000069010000",
+            "01000000000000000100000000000000f8a7000000000000f8a70000000000000701000000de01000001000000000000",
+            "00010000000000000030c807000000000030c80700000000009a99999999990140040000000000000002000000000000",
+            "000700000000000000060000000000000001000000000000000300000000000000050000000000000002000000000000",
+            "0003000000000000000400000000000000050000000000000001000000000000000600000000000000",
+        ]
+        .concat();
+        assert_eq!(hex, golden);
+        let Frame::MetricsRep(back) = roundtrip(&Frame::MetricsRep(Box::new(m))) else {
+            panic!("wrong frame");
+        };
+        let mut again = Vec::new();
+        put_metrics(&mut again, &back);
+        assert_eq!(again, out, "decode then encode reproduces the bytes");
     }
 
     #[test]

@@ -20,12 +20,13 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use skysr_core::bssr::{Bssr, BssrConfig, BssrScratch};
+use skysr_core::bssr::{Bssr, BssrConfig, BssrScratch, ProgressSink, WarmSeeds};
 use skysr_core::dominance::SkylineSet;
 use skysr_core::error::QueryError;
 use skysr_core::query::SkySrQuery;
 use skysr_core::route::SkylineRoute;
 use skysr_core::stats::EngineProfile;
+use skysr_core::PreparedQuery;
 use skysr_graph::{EpochId, WeightDelta};
 
 use crate::cache::{QueryKey, ResultCache};
@@ -1185,34 +1186,32 @@ fn worker_loop(
                     (r.routes, served)
                 })
             }
-            PlanStep::WarmSeed { source, seeds } => {
-                // Anytime streaming: with a progress channel attached, run
-                // the observed engine variant, which reports each
-                // provisional Pareto point as the search proves it. A
-                // receiver that hung up (deadline cutoff) just makes the
-                // sends no-ops.
-                let run = match (&progress, source) {
-                    (Some(tx), SeedSource::Suffix) => {
-                        let mut sink = |r: &SkylineRoute| {
-                            let _ = tx.send(r.clone());
-                        };
-                        engine.run_with_suffix_seeds_observed(&query, &seeds, &mut sink)
+            PlanStep::WarmSeed { .. } | PlanStep::ColdSearch => {
+                let (source, seeds) = match &step {
+                    PlanStep::WarmSeed { source: SeedSource::Suffix, seeds } => {
+                        (Some(SeedSource::Suffix), WarmSeeds::Suffix(seeds))
                     }
-                    (Some(tx), SeedSource::Prefix | SeedSource::Ancestor) => {
-                        let mut sink = |r: &SkylineRoute| {
-                            let _ = tx.send(r.clone());
-                        };
-                        engine.run_with_seeds_observed(&query, &seeds, &mut sink)
+                    PlanStep::WarmSeed { source, seeds } => {
+                        (Some(*source), WarmSeeds::PrefixOrFull(seeds))
                     }
-                    (None, SeedSource::Suffix) => engine.run_with_suffix_seeds(&query, &seeds),
-                    (None, SeedSource::Prefix | SeedSource::Ancestor) => {
-                        engine.run_with_seeds(&query, &seeds)
+                    _ => (None, WarmSeeds::None),
+                };
+                // Anytime streaming: with a progress channel attached, the
+                // engine reports each provisional Pareto point as the
+                // search proves it. A receiver that hung up (deadline
+                // cutoff) just makes the sends no-ops.
+                let mut stream = |r: &SkylineRoute| {
+                    if let Some(tx) = &progress {
+                        let _ = tx.send(r.clone());
                     }
                 };
-                run.map(|result| {
+                let sink: Option<ProgressSink<'_>> =
+                    if progress.is_some() { Some(&mut stream) } else { None };
+                PreparedQuery::prepare(&qctx, &query).map(|pq| {
+                    let result = engine.run_prepared_observed(&pq, seeds, sink);
                     // A seed probe only helps when it actually seeded
                     // routes (an unreachable position can leave it dry).
-                    let seeded = (result.stats.warm_seed_routes > 0).then_some(source);
+                    let seeded = source.filter(|_| result.stats.warm_seed_routes > 0);
                     exec.profile = result.stats.profile();
                     let served = if result.truncated {
                         Served::Approximate
@@ -1220,26 +1219,6 @@ fn worker_loop(
                         Served::Search { seeded }
                     };
                     (result.routes, served)
-                })
-            }
-            PlanStep::ColdSearch => {
-                let run = match &progress {
-                    Some(tx) => {
-                        let mut sink = |r: &SkylineRoute| {
-                            let _ = tx.send(r.clone());
-                        };
-                        engine.run_observed(&query, &mut sink)
-                    }
-                    None => engine.run(&query),
-                };
-                run.map(|r| {
-                    exec.profile = r.stats.profile();
-                    let served = if r.truncated {
-                        Served::Approximate
-                    } else {
-                        Served::Search { seeded: None }
-                    };
-                    (r.routes, served)
                 })
             }
             PlanStep::ExactHit(..) | PlanStep::Coalesce | PlanStep::ProbeSeeds => {
@@ -1341,8 +1320,8 @@ mod tests {
         assert!(warm.cache_hit());
         assert_eq!(cold.routes, warm.routes);
         let m = service.metrics();
-        assert_eq!(m.completed, 2);
-        assert_eq!(m.executed, 1);
+        assert_eq!(m.completed(), 2);
+        assert_eq!(m.executed(), 1);
         assert_eq!(m.cache.hits, 1);
         assert_eq!(m.stale_served, 0);
     }
@@ -1353,7 +1332,7 @@ mod tests {
         service.submit_query(ex.query()).wait().unwrap();
         let again = service.submit_query(ex.query()).wait().unwrap();
         assert!(!again.cache_hit());
-        assert_eq!(service.metrics().executed, 2);
+        assert_eq!(service.metrics().executed(), 2);
     }
 
     #[test]
@@ -1379,7 +1358,7 @@ mod tests {
         for o in outcomes {
             assert_eq!(o.unwrap().routes.len(), 2);
         }
-        assert_eq!(svc.shutdown().completed, 64);
+        assert_eq!(svc.shutdown().completed(), 64);
     }
 
     #[test]
@@ -1397,7 +1376,7 @@ mod tests {
         assert_eq!(after.epoch, e1);
         assert!(!after.cache_hit(), "the pre-update entry must not answer");
         let m = service.metrics();
-        assert_eq!(m.executed, 2, "the post-update request re-searched");
+        assert_eq!(m.executed(), 2, "the post-update request re-searched");
         assert_eq!(m.cache.invalidations, 1, "the stale entry was dropped on lookup");
         assert_eq!(m.stale_served, 0);
         // The post-update entry serves post-update traffic.
@@ -1442,10 +1421,10 @@ mod tests {
         assert!(again.cache_hit());
         assert_eq!(again.epoch, e1);
         let m = service.metrics();
-        assert_eq!(m.repairs + m.repair_fallbacks, 1, "exactly one repair attempt ran");
+        assert_eq!(m.repairs() + m.repair_fallbacks, 1, "exactly one repair attempt ran");
         assert_eq!(m.cache.invalidations, 0, "repair replaces lazy invalidation");
         assert_eq!(m.stale_served, 0);
-        assert_eq!(m.executed, 2, "initial search + the repair attempt");
+        assert_eq!(m.executed(), 2, "initial search + the repair attempt");
     }
 
     #[test]
@@ -1478,7 +1457,7 @@ mod tests {
         assert!(equivalent_skylines(&after.routes, &oracle));
         assert_eq!(before.routes.len(), after.routes.len());
         let m = service.metrics();
-        assert_eq!(m.repairs + m.repair_fallbacks, 1);
+        assert_eq!(m.repairs() + m.repair_fallbacks, 1);
         assert_eq!(m.stale_served, 0);
     }
 }

@@ -23,21 +23,30 @@ pub fn spans_to_json_lines(spans: &[TraceSpan]) -> String {
 /// as one self-consistent page.
 pub fn prometheus(entries: &[(&[(&str, &str)], &MetricsSnapshot)]) -> String {
     type CounterFn = fn(&MetricsSnapshot) -> u64;
-    type HistFn = fn(&MetricsSnapshot) -> &HistogramSnapshot;
+    type HistFn = fn(&MetricsSnapshot) -> HistogramSnapshot;
     let mut out = String::with_capacity(4096);
-    let counters: [(&str, &str, CounterFn); 12] = [
-        ("skysr_completed_total", "Queries answered successfully", |m| m.completed),
+    let counters: [(&str, &str, CounterFn); 15] = [
+        ("skysr_completed_total", "Queries answered successfully", |m| m.completed()),
         ("skysr_failed_total", "Queries rejected by validation", |m| m.failed),
-        ("skysr_executed_total", "Queries that ran a BSSR search or repair", |m| m.executed),
+        ("skysr_executed_total", "Queries that ran a BSSR search or repair", |m| m.executed()),
         ("skysr_coalesced_total", "Queries answered by joining an in-flight search", |m| {
-            m.coalesced
+            m.coalesced()
         }),
         ("skysr_stale_served_total", "Responses served from a wrong-epoch entry", |m| {
             m.stale_served
         }),
-        ("skysr_repairs_total", "Cached skylines promoted in place by repair", |m| m.repairs),
+        ("skysr_repairs_total", "Cached skylines promoted in place by repair", |m| m.repairs()),
         ("skysr_repair_fallbacks_total", "Repairs that fell back to a re-search", |m| {
             m.repair_fallbacks
+        }),
+        ("skysr_rejected_total", "Requests refused at admission (deadline unmeetable)", |m| {
+            m.rejected
+        }),
+        ("skysr_shed_deadline_total", "Requests whose deadline expired in the queue", |m| {
+            m.shed_deadline
+        }),
+        ("skysr_approximate_served_total", "Partial answers served after a deadline", |m| {
+            m.approximate_served()
         }),
         ("skysr_cache_hits_total", "Result-cache hits", |m| m.cache.hits),
         ("skysr_cache_misses_total", "Result-cache misses", |m| m.cache.misses),
@@ -58,14 +67,16 @@ pub fn prometheus(entries: &[(&[(&str, &str)], &MetricsSnapshot)]) -> String {
     }
 
     let hists: [(&str, &str, HistFn); 3] = [
-        ("skysr_latency_seconds", "End-to-end latency (queueing included)", |m| &m.latency_hist),
-        ("skysr_queue_wait_seconds", "Submission-to-dequeue wait", |m| &m.queue_wait_hist),
-        ("skysr_engine_seconds", "Engine execution time (search / repair)", |m| &m.engine_hist),
+        ("skysr_latency_seconds", "End-to-end latency (queueing included)", |m| m.latency()),
+        ("skysr_queue_wait_seconds", "Submission-to-dequeue wait", |m| m.queue_wait_hist.clone()),
+        ("skysr_engine_seconds", "Engine execution time (search / repair)", |m| {
+            m.engine_hist.clone()
+        }),
     ];
     for (name, help, get) in hists {
         out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} histogram\n"));
         for (labels, snap) in entries {
-            histogram_series(&mut out, name, labels, get(snap));
+            histogram_series(&mut out, name, labels, &get(snap));
         }
     }
 

@@ -67,10 +67,10 @@ fn n_identical_queries_run_exactly_one_search() {
         .map(|r| r.expect("valid query"))
         .collect();
     let m = service.shutdown();
-    assert_eq!(m.completed, 64);
-    assert_eq!(m.executed, 1, "exactly one engine search");
-    assert_eq!(m.coalesced + m.cache.hits, 63, "everyone else shared it");
-    assert!(m.coalesced > 0, "the slow flight must park followers");
+    assert_eq!(m.completed(), 64);
+    assert_eq!(m.executed(), 1, "exactly one engine search");
+    assert_eq!(m.coalesced() + m.cache.hits, 63, "everyone else shared it");
+    assert!(m.coalesced() > 0, "the slow flight must park followers");
     // Byte-identical: every response shares the leader's allocation.
     for r in &responses[1..] {
         assert!(Arc::ptr_eq(&r.routes, &responses[0].routes));
@@ -95,8 +95,8 @@ fn interleaved_distinct_queries_coalesce_per_key() {
     let responses: Vec<_> =
         service.run_batch(queries).into_iter().map(|r| r.expect("valid query")).collect();
     let m = service.shutdown();
-    assert_eq!(m.completed, 64);
-    assert_eq!(m.executed, 2, "one search per distinct key");
+    assert_eq!(m.completed(), 64);
+    assert_eq!(m.executed(), 2, "one search per distinct key");
     for pair in responses.chunks(2).skip(1) {
         assert!(Arc::ptr_eq(&pair[0].routes, &responses[0].routes));
         assert!(Arc::ptr_eq(&pair[1].routes, &responses[1].routes));
@@ -129,11 +129,11 @@ fn coalescing_disabled_searches_duplicates_redundantly() {
         outcome.expect("valid query");
     }
     let m = service.shutdown();
-    assert_eq!(m.completed, 64);
-    assert_eq!(m.coalesced, 0);
+    assert_eq!(m.completed(), 64);
+    assert_eq!(m.coalesced(), 0);
     assert!(
-        m.executed > 1,
+        m.executed() > 1,
         "without coalescing, slow in-flight duplicates each search ({} searches)",
-        m.executed
+        m.executed()
     );
 }

@@ -6,6 +6,7 @@ use std::sync::Arc;
 use skysr_core::bssr::{Bssr, BssrConfig};
 use skysr_data::dataset::{Dataset, DatasetSpec, Preset};
 use skysr_data::workload::WorkloadSpec;
+use skysr_service::plan::SeedSource;
 use skysr_service::replay::{replay, ReplaySpec, StreamPattern};
 use skysr_service::{QueryService, Service, ServiceConfig, ServiceContext};
 
@@ -28,12 +29,15 @@ fn concurrent_replay_matches_sequential_execution() {
     };
     let report = replay(city(), &spec);
     assert_eq!(report.verify_mismatches, Some(0));
-    assert_eq!(report.metrics.completed, 400);
+    assert_eq!(report.metrics.completed(), 400);
     assert_eq!(report.workers, 4);
     assert!(report.metrics.cache.hits > 0, "skewed stream must hit the cache");
-    assert!(report.metrics.executed < report.metrics.completed, "cache hits must save searches");
-    assert!(report.metrics.throughput_qps > 0.0);
-    assert!(report.metrics.latency_p50 <= report.metrics.latency_p99);
+    assert!(
+        report.metrics.executed() < report.metrics.completed(),
+        "cache hits must save searches"
+    );
+    assert!(report.metrics.throughput_qps() > 0.0);
+    assert!(report.metrics.latency().quantile(0.50) <= report.metrics.latency().quantile(0.99));
 }
 
 #[test]
@@ -52,7 +56,7 @@ fn caching_disabled_still_matches_sequential() {
     let report = replay(city(), &spec);
     assert_eq!(report.verify_mismatches, Some(0));
     assert_eq!(
-        report.metrics.executed + report.metrics.coalesced,
+        report.metrics.executed() + report.metrics.coalesced(),
         120,
         "every request is searched or coalesced onto one"
     );
@@ -79,9 +83,9 @@ fn all_reuse_disabled_runs_every_search_and_matches_sequential() {
     };
     let report = replay(city(), &spec);
     assert_eq!(report.verify_mismatches, Some(0));
-    assert_eq!(report.metrics.executed, 120, "every request runs a search");
-    assert_eq!(report.metrics.coalesced, 0);
-    assert_eq!(report.metrics.seeded_prefix, 0);
+    assert_eq!(report.metrics.executed(), 120, "every request runs a search");
+    assert_eq!(report.metrics.coalesced(), 0);
+    assert_eq!(report.metrics.seeded(SeedSource::Prefix), 0);
     assert_eq!(report.metrics.cache.hits, 0);
 }
 
@@ -105,12 +109,12 @@ fn prefix_chain_replay_warm_starts_and_stays_exact() {
     assert_eq!(report.verify_mismatches, Some(0));
     assert_eq!(report.distinct, 30, "pool expands to every chain prefix");
     assert!(
-        report.metrics.seeded_prefix > 0,
+        report.metrics.seeded(SeedSource::Prefix) > 0,
         "length-wavefront chains must warm-start ({} searches)",
-        report.metrics.executed
+        report.metrics.executed()
     );
     // Reuse never runs extra searches: one per distinct pool entry.
-    assert!(report.metrics.executed <= 30);
+    assert!(report.metrics.executed() <= 30);
 }
 
 #[test]
@@ -129,7 +133,7 @@ fn prefix_chain_replay_concurrent_matches_sequential() {
     };
     let report = replay(city(), &spec);
     assert_eq!(report.verify_mismatches, Some(0));
-    assert_eq!(report.metrics.completed, 300);
+    assert_eq!(report.metrics.completed(), 300);
 }
 
 #[test]
@@ -146,9 +150,9 @@ fn duplicate_burst_replay_verifies_against_sequential() {
     };
     let report = replay(city(), &spec);
     assert_eq!(report.verify_mismatches, Some(0));
-    assert_eq!(report.metrics.completed, 300);
+    assert_eq!(report.metrics.completed(), 300);
     assert_eq!(
-        report.metrics.executed + report.metrics.coalesced + report.metrics.cache.hits,
+        report.metrics.executed() + report.metrics.coalesced() + report.metrics.cache.hits,
         300,
         "every answer is exactly one of searched / coalesced / cached"
     );
@@ -178,7 +182,7 @@ fn cache_hits_equal_cold_runs_on_generated_queries() {
         assert_eq!(warm.routes, cold.routes);
     }
     let m = service.shutdown();
-    assert_eq!(m.completed, 24);
+    assert_eq!(m.completed(), 24);
     assert_eq!(m.cache.hits, 12);
 }
 

@@ -61,14 +61,14 @@ fn remote_replay_is_oracle_exact_with_midstream_updates() {
     let remote =
         RemoteService::connect(server.local_addr()).expect("connect to the loopback daemon");
     let report = replay_remote(&remote, shadow, &pool, &spec).expect("fingerprints match");
-    assert_eq!(report.metrics.completed, 240);
+    assert_eq!(report.metrics.completed(), 240);
     assert_eq!(report.verify_mismatches, Some(0), "remote answers must be oracle-exact");
     assert_eq!(report.verify_skipped, Some(0), "unbounded shadow history skips nothing");
     assert_eq!(report.metrics.stale_served, 0, "no answer served cross-epoch");
     assert!(report.epochs_published >= 5, "update waves must publish through the wire");
     let farewell = remote.shutdown();
     server.join();
-    assert_eq!(farewell.completed, 240);
+    assert_eq!(farewell.completed(), 240);
 }
 
 #[test]
@@ -109,46 +109,82 @@ fn loopback_streaming_provisionals_are_dominated_by_final() {
     server.join();
 }
 
-#[test]
-fn deadline_cutoff_yields_valid_approximate_partials() {
-    let (_service, mut server) = spawn_daemon(2);
-    let remote =
-        RemoteService::connect(server.local_addr()).expect("connect to the loopback daemon");
-    let dataset = city();
-    let spec = ReplaySpec { distinct: 16, seq_len: 2, ..ReplaySpec::default() };
-    let pool = build_pool(&dataset, &spec);
-    let mut cut = 0;
-    for q in &pool {
-        let anytime = remote
-            .submit_streaming(QueryRequest::new(q.clone()).deadline(Duration::from_nanos(1)))
-            .wait_deadline(Duration::from_nanos(1))
-            .expect("pool queries succeed");
-        if anytime.approximate {
-            cut += 1;
-            assert!(anytime.response.is_none(), "a cutoff carries no final metadata");
-            // The partial must be mutually non-dominated ...
-            for (i, a) in anytime.routes.iter().enumerate() {
-                for b in &anytime.routes[i + 1..] {
-                    assert!(
-                        !(covers(a, b) && (a.length != b.length || a.semantic != b.semantic)),
-                        "partial skyline contains a dominated member"
-                    );
-                }
-            }
-            // ... and every member dominated-or-equal by the exact answer
-            // (re-asked after the fact; the daemon kept computing it).
-            let exact = remote.submit_query(q.clone()).wait().expect("exact re-ask succeeds");
-            for p in &anytime.routes {
-                assert!(
-                    exact.routes.iter().any(|f| covers(f, p)),
-                    "approximate member not covered by the exact skyline: {p:?}"
-                );
-            }
-        } else {
-            assert!(anytime.response.is_some(), "an uncut stream carries the full response");
+/// Checks that `partial` is a valid anytime answer for a query whose exact
+/// skyline is `exact`: mutually non-dominated, and every member
+/// dominated-or-equal by some exact member.
+fn assert_valid_partial(partial: &[skysr_core::SkylineRoute], exact: &[skysr_core::SkylineRoute]) {
+    for (i, a) in partial.iter().enumerate() {
+        for b in &partial[i + 1..] {
+            assert!(
+                !(covers(a, b) && (a.length != b.length || a.semantic != b.semantic)),
+                "partial skyline contains a dominated member"
+            );
         }
     }
-    assert!(cut > 0, "a 1ns deadline must cut at least one of {} streams", pool.len());
+    for p in partial {
+        assert!(
+            exact.iter().any(|f| covers(f, p)),
+            "approximate member not covered by the exact skyline: {p:?}"
+        );
+    }
+}
+
+#[test]
+fn deadline_cutoff_yields_valid_approximate_partials() {
+    // Cache and coalescing off: every request is a cold search that
+    // streams its provisional points, so the partials checked here come
+    // from real search progress rather than from requests shed unserved.
+    let ctx = Arc::new(ServiceContext::from_dataset(city()));
+    let service = Arc::new(Service::new(
+        ctx,
+        ServiceConfig {
+            workers: 2,
+            cache_capacity: 0,
+            coalesce: false,
+            ..ServiceConfig::default()
+        },
+    ));
+    let mut server = Server::spawn("127.0.0.1:0", service, ServerConfig::default())
+        .expect("bind a loopback listener");
+    let remote =
+        RemoteService::connect(server.local_addr()).expect("connect to the loopback daemon");
+    let spec = ReplaySpec { distinct: 16, seq_len: 2, ..ReplaySpec::default() };
+    let pool = build_pool(&city(), &spec);
+    let mut non_empty_partials = 0;
+    for (i, q) in pool.iter().enumerate() {
+        // Whatever a client cutoff could return is the fold of some prefix
+        // of the provisional stream; check every such prefix.
+        let (exact, provisional) = remote
+            .submit_streaming(QueryRequest::new(q.clone()))
+            .wait_with_progress()
+            .expect("pool queries succeed");
+        let mut folded = skysr_core::dominance::SkylineSet::new();
+        for p in &provisional {
+            folded.update(p.clone());
+            let partial = folded.clone().into_routes();
+            assert_valid_partial(&partial, &exact.routes);
+            non_empty_partials += 1;
+        }
+        // A real client cutoff races the search: both outcomes are legal,
+        // and each is checked.
+        let cutoff = Duration::from_micros([0, 50, 200, 1_000][i % 4]);
+        let anytime = remote
+            .submit_streaming(QueryRequest::new(q.clone()))
+            .wait_deadline(cutoff)
+            .expect("pool queries succeed");
+        if anytime.approximate {
+            assert!(anytime.response.is_none(), "a cutoff carries no final metadata");
+            assert_valid_partial(&anytime.routes, &exact.routes);
+            non_empty_partials += usize::from(!anytime.routes.is_empty());
+        } else {
+            assert!(anytime.response.is_some(), "an uncut stream carries the full response");
+            assert!(
+                skysr_core::route::equivalent_skylines(&anytime.routes, &exact.routes),
+                "an uncut answer is the exact skyline"
+            );
+        }
+    }
+    assert!(non_empty_partials > 0, "the searches must stream at least one provisional point");
     let _ = remote.shutdown();
     server.join();
 }
@@ -216,9 +252,9 @@ fn v1_client_is_served_unchanged_by_a_v2_multi_shard_daemon() {
     let expected_on = |region: RegionId| {
         pool.iter().filter(|q| router.route_start(q.start) == region).count() as u64
     };
-    assert_eq!(router.shard_metrics(RegionId(0)).unwrap().completed, expected_on(RegionId(0)));
+    assert_eq!(router.shard_metrics(RegionId(0)).unwrap().completed(), expected_on(RegionId(0)));
     let south_v1 = expected_on(RegionId(1));
-    assert_eq!(router.shard_metrics(RegionId(1)).unwrap().completed, south_v1);
+    assert_eq!(router.shard_metrics(RegionId(1)).unwrap().completed(), south_v1);
     assert_eq!(router.misrouted(), 0);
 
     // A v2 client on the same daemon sees both regions and reaches the
@@ -236,10 +272,10 @@ fn v1_client_is_served_unchanged_by_a_v2_multi_shard_daemon() {
         .submit(QueryRequest::new(pool_south[0].clone()).region(RegionId(1)))
         .wait()
         .expect("addressed v2 submit is served");
-    assert_eq!(router.shard_metrics(RegionId(1)).unwrap().completed, south_v1 + 1);
+    assert_eq!(router.shard_metrics(RegionId(1)).unwrap().completed(), south_v1 + 1);
     let farewell = remote.shutdown();
     server.join();
-    assert_eq!(farewell.completed, pool.len() as u64 + 1, "the farewell merges every shard");
+    assert_eq!(farewell.completed(), pool.len() as u64 + 1, "the farewell merges every shard");
 }
 
 #[test]

@@ -88,7 +88,7 @@ fn answers_track_the_fresh_oracle_across_updates() {
     );
     // Every round re-searched every distinct query despite a warm cache
     // (the epoch changed), and every second pass was served from it.
-    assert_eq!(m.executed, dataset_pool.len() as u64 * 4, "one search per query per epoch");
+    assert_eq!(m.executed(), dataset_pool.len() as u64 * 4, "one search per query per epoch");
     assert!(m.cache.hits >= dataset_pool.len() as u64 * 4, "same-epoch passes hit");
 }
 
@@ -150,8 +150,8 @@ fn leader_started_on_epoch_n_cannot_serve_or_poison_epoch_n_plus_1() {
     assert_eq!(again.routes, fresh.routes);
 
     let m = service.shutdown();
-    assert_eq!(m.executed, 2, "one search per (query, epoch)");
-    assert_eq!(m.coalesced, 0);
+    assert_eq!(m.executed(), 2, "one search per (query, epoch)");
+    assert_eq!(m.coalesced(), 0);
     assert_eq!(m.stale_served, 0);
 
     // And the epoch-1 answer is exact: equivalent to a cold run on the
@@ -188,7 +188,7 @@ fn epoch_crossing_duplicate_storm_stays_exact() {
         responses.extend(tickets.into_iter().map(|t| t.wait().unwrap()));
     }
     let m = service.shutdown();
-    assert_eq!(m.completed, 144);
+    assert_eq!(m.completed(), 144);
     assert_eq!(m.stale_served, 0, "staleness gate under epoch-crossing storms");
 
     // Oracle check at each distinct epoch observed.
@@ -225,7 +225,7 @@ fn disabled_cache_sees_no_lookups_even_under_updates() {
     let b = service.submit_query(ex.query()).wait().unwrap();
     assert_eq!((a.epoch, b.epoch), (EpochId(0), EpochId(1)));
     let m = service.shutdown();
-    assert_eq!(m.executed, 2);
+    assert_eq!(m.executed(), 2);
     let c = m.cache;
     assert_eq!(
         (c.hits, c.misses, c.insertions, c.evictions, c.invalidations),
@@ -254,7 +254,7 @@ fn update_heavy_replay_verifies_at_pinned_epochs() {
     let pool = build_pool(&dataset, &spec);
     let ctx = Arc::new(ServiceContext::from_dataset(dataset));
     let report = replay_on(ctx, &pool, &spec);
-    assert_eq!(report.metrics.completed, 240);
+    assert_eq!(report.metrics.completed(), 240);
     assert_eq!(report.verify_mismatches, Some(0), "every answer exact at its pinned epoch");
     assert_eq!(report.stale_served(), 0);
     assert!(

@@ -69,8 +69,8 @@ fn two_x_overload_serves_only_exact_shed_or_valid_approximate() {
     let uncontended = ReplaySpec { overload: 0.5, ..base.clone() };
     let calm = replay_on(Arc::clone(&ctx), &pool, &uncontended);
     assert_eq!(calm.verify_mismatches, Some(0), "uncontended run must be oracle-exact");
-    assert_eq!(calm.metrics.completed, 192, "nothing sheds without a deadline");
-    let deadline = calm.metrics.latency_p50.max(Duration::from_millis(1));
+    assert_eq!(calm.metrics.completed(), 192, "nothing sheds without a deadline");
+    let deadline = calm.metrics.latency().quantile(0.50).max(Duration::from_millis(1));
 
     let overloaded =
         ReplaySpec { overload: 2.0, admission: true, deadline: Some(deadline), ..base };
@@ -87,13 +87,13 @@ fn two_x_overload_serves_only_exact_shed_or_valid_approximate() {
     let m = &report.metrics;
     assert_eq!(m.failed, 0, "overload surfaces as Overloaded sheds, not failures");
     assert_eq!(
-        m.completed + m.rejected + m.shed_deadline,
+        m.completed() + m.rejected + m.shed_deadline,
         192,
         "every request completes or sheds: {m:?}"
     );
     assert_eq!(
-        m.completed,
-        m.executed + m.cache.hits + m.coalesced + m.approximate_served,
+        m.completed(),
+        m.executed() + m.cache.hits + m.coalesced() + m.approximate_served(),
         "served-outcome taxonomy must tile: {m:?}"
     );
 
@@ -103,7 +103,7 @@ fn two_x_overload_serves_only_exact_shed_or_valid_approximate() {
 
     // The met-deadline split covers exactly the requests that finished.
     let (met, finished) = report.met_deadline.expect("deadline runs report the split");
-    assert_eq!(finished as u64, m.completed);
+    assert_eq!(finished as u64, m.completed());
     assert!(met <= finished);
 }
 
@@ -129,17 +129,17 @@ fn expired_in_queue_requests_are_never_executed() {
         }
     }
     let m = service.metrics();
-    assert_eq!(m.executed, 0, "expired-in-queue work must never reach the engine");
-    assert_eq!(m.completed, 0);
-    assert_eq!(m.approximate_served, 0);
+    assert_eq!(m.executed(), 0, "expired-in-queue work must never reach the engine");
+    assert_eq!(m.completed(), 0);
+    assert_eq!(m.approximate_served(), 0);
     assert_eq!(m.shed_deadline, 32, "every shed is accounted: {m:?}");
 
     // The service stays healthy: a deadline-less request still serves.
     let r = service.submit_query(pool[0].clone()).wait().expect("service must stay serviceable");
     assert!(!r.routes.is_empty());
     let m = service.shutdown();
-    assert_eq!(m.completed, 1);
-    assert_eq!(m.executed, 1);
+    assert_eq!(m.completed(), 1);
+    assert_eq!(m.executed(), 1);
 }
 
 #[test]
@@ -206,5 +206,5 @@ fn aging_bound_prevents_cold_starvation_under_cheap_flood() {
     );
     let m = service.shutdown();
     assert!(m.cache.hits > 0, "the flood must actually exercise the hit band");
-    assert!(m.executed >= 2, "prime + cold search");
+    assert!(m.executed() >= 2, "prime + cold search");
 }

@@ -15,6 +15,7 @@
 use std::sync::Arc;
 
 use skysr_data::dataset::{Dataset, DatasetSpec, Preset};
+use skysr_service::plan::SeedSource;
 use skysr_service::replay::{build_pool, replay_on, ReplaySpec, StreamPattern};
 use skysr_service::ServiceContext;
 
@@ -96,24 +97,39 @@ fn every_strategy_subset_is_oracle_exact_on_hierarchy_workloads() {
             assert_eq!(report.stale_served(), 0, "subset {} served stale", subset.name);
             let m = &report.metrics;
             if !subset.ancestor {
-                assert_eq!(m.seeded_ancestor, 0, "{}: toggled-off source fired", subset.name);
+                assert_eq!(
+                    m.seeded(SeedSource::Ancestor),
+                    0,
+                    "{}: toggled-off source fired",
+                    subset.name
+                );
             }
             if !subset.suffix {
-                assert_eq!(m.seeded_suffix, 0, "{}: toggled-off source fired", subset.name);
+                assert_eq!(
+                    m.seeded(SeedSource::Suffix),
+                    0,
+                    "{}: toggled-off source fired",
+                    subset.name
+                );
             }
             if !subset.prefix {
-                assert_eq!(m.seeded_prefix, 0, "{}: toggled-off source fired", subset.name);
+                assert_eq!(
+                    m.seeded(SeedSource::Prefix),
+                    0,
+                    "{}: toggled-off source fired",
+                    subset.name
+                );
             }
             if !subset.repair {
-                assert_eq!(m.repairs + m.repair_fallbacks, 0, "{}: repair fired", subset.name);
+                assert_eq!(m.repairs() + m.repair_fallbacks, 0, "{}: repair fired", subset.name);
             }
             if subset.name == "all-on" {
                 assert!(
-                    m.seeded_ancestor > 0,
+                    m.seeded(SeedSource::Ancestor) > 0,
                     "the hierarchy workload must ancestor-seed (seed {seed}): {m:?}"
                 );
                 assert!(
-                    m.seeded_suffix > 0,
+                    m.seeded(SeedSource::Suffix) > 0,
                     "the hierarchy workload must suffix-seed (seed {seed}): {m:?}"
                 );
             }
@@ -139,7 +155,7 @@ fn every_strategy_subset_is_oracle_exact_on_prefix_workloads() {
         );
         assert_eq!(report.stale_served(), 0);
         if !subset.prefix {
-            assert_eq!(report.metrics.seeded_prefix, 0);
+            assert_eq!(report.metrics.seeded(SeedSource::Prefix), 0);
         }
     }
 }

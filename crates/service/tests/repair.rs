@@ -20,6 +20,7 @@ use skysr_core::route::equivalent_skylines;
 use skysr_core::{PoiTable, SkySrQuery};
 use skysr_data::dataset::{DatasetSpec, Preset};
 use skysr_graph::{GraphBuilder, RoadNetwork, VertexId, WeightDelta};
+use skysr_service::plan::SeedSource;
 use skysr_service::replay::{build_pool, replay_on, ReplaySpec};
 use skysr_service::{QueryService, Service, ServiceConfig, ServiceContext};
 
@@ -42,17 +43,17 @@ fn update_heavy_repair_replay_verifies_and_repairs_in_place() {
     let pool = build_pool(&dataset, &spec);
     let ctx = Arc::new(ServiceContext::from_dataset(dataset));
     let report = replay_on(ctx, &pool, &spec);
-    assert_eq!(report.metrics.completed, 240);
+    assert_eq!(report.metrics.completed(), 240);
     assert_eq!(report.verify_mismatches, Some(0), "repair must be oracle-exact");
     assert_eq!(report.stale_served(), 0);
     assert!(report.epochs_published > 0, "updates must interleave with the stream");
     let m = &report.metrics;
-    assert!(m.repairs > 0, "epoch churn over a warm cache must trigger repairs: {m:?}");
+    assert!(m.repairs() > 0, "epoch churn over a warm cache must trigger repairs: {m:?}");
     assert!(
-        m.repair_fallbacks < m.repairs,
+        m.repair_fallbacks < m.repairs(),
         "most repairs resolve in place ({} fallbacks vs {} repairs)",
         m.repair_fallbacks,
-        m.repairs
+        m.repairs()
     );
     assert_eq!(m.cache.invalidations, 0, "repair replaces lazy invalidation entirely");
 }
@@ -152,7 +153,8 @@ fn untouched_prefix_entries_seed_warm_starts_across_epochs() {
     assert!(equivalent_skylines(&full.routes, &exact(&ctx, &full_q)), "rescued seed stays exact");
     let m = service.metrics();
     assert_eq!(
-        m.seeded_prefix, 1,
+        m.seeded(SeedSource::Prefix),
+        1,
         "the one-epoch-stale prefix skyline must seed the warm start: {m:?}"
     );
     assert_eq!(m.stale_served, 0);
@@ -183,6 +185,6 @@ fn touched_prefix_entries_are_not_rescued() {
     let full = service.submit_query(full_q.clone()).wait().unwrap();
     assert!(equivalent_skylines(&full.routes, &exact(&ctx, &full_q)));
     let m = service.metrics();
-    assert_eq!(m.seeded_prefix, 0, "a possibly-touched prefix must not seed: {m:?}");
+    assert_eq!(m.seeded(SeedSource::Prefix), 0, "a possibly-touched prefix must not seed: {m:?}");
     assert_eq!(m.stale_served, 0);
 }

@@ -20,7 +20,8 @@ use skysr_data::dataset::{Dataset, DatasetSpec, Preset};
 use skysr_graph::{EpochId, VertexId};
 use skysr_service::replay::{build_pool, random_traffic_deltas, replay_sharded, ReplaySpec};
 use skysr_service::{
-    QueryRequest, QueryService, RegionId, Router, ServiceConfig, ServiceContext, ShardRegistry,
+    QueryRequest, QueryService, RegionId, Router, Rung, ServiceConfig, ServiceContext,
+    ShardRegistry,
 };
 
 use rand::rngs::StdRng;
@@ -74,7 +75,7 @@ fn weight_storm_on_shard_a_leaves_shard_b_untouched() {
     }
     let quiet_p99 = {
         let m = router.shard_metrics(b).unwrap();
-        m.latency_hist.quantile(0.99)
+        m.latency().quantile(0.99)
     };
 
     // The storm: 40 weight-update waves land on shard A, interleaved with
@@ -125,13 +126,12 @@ fn weight_storm_on_shard_a_leaves_shard_b_untouched() {
     // bound is deliberately generous (shared cores make absolute latency
     // noisy) — the isolation claim it backs is that B's hits stayed
     // *hits*, never re-searches forced by foreign invalidations.
-    let storm_hit_count =
-        mb.rungs.iter().find(|rs| rs.rung.label() == "exact_hit").map_or(0, |rs| rs.hist.count());
+    let storm_hit_count = mb.rung_count(Rung::ExactHit);
     assert!(
         storm_hit_count >= 40 * pool_b.len() as u64,
         "every storm-time shard-B answer must still be a cache hit"
     );
-    let storm_p99 = mb.latency_hist.quantile(0.99);
+    let storm_p99 = mb.latency().quantile(0.99);
     let bound = (quiet_p99 * 100).max(Duration::from_millis(250));
     assert!(
         storm_p99 <= bound,
@@ -164,7 +164,7 @@ fn misaddressed_requests_fail_at_the_front_door() {
     assert_eq!(router.misrouted(), 1);
     for region in [RegionId(0), RegionId(1)] {
         let m = router.shard_metrics(region).unwrap();
-        assert_eq!((m.completed, m.failed), (0, 0), "misroutes must not touch shard {region}");
+        assert_eq!((m.completed(), m.failed), (0, 0), "misroutes must not touch shard {region}");
     }
 
     // A shard handed a foreign request directly rejects it itself — the
@@ -209,13 +209,13 @@ fn sharded_replay_verifies_every_shard_with_zero_misroutes() {
     assert_eq!(report.misrouted, 0);
     assert!(report.all_ok(), "every shard must verify clean");
     for shard in &report.shards {
-        assert_eq!(shard.report.metrics.completed, 160);
+        assert_eq!(shard.report.metrics.completed(), 160);
         assert_eq!(shard.report.verify_mismatches, Some(0), "shard {} oracle", shard.name);
         assert_eq!(shard.report.stale_served(), 0);
         assert!(shard.report.epochs_published > 0, "updates must land on shard {}", shard.name);
     }
     assert_eq!(report.total(), 320);
-    assert_eq!(report.merged_metrics().completed, 320);
+    assert_eq!(report.merged_metrics().completed(), 320);
 }
 
 proptest! {

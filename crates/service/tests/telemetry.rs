@@ -9,11 +9,16 @@ use std::time::Duration;
 
 use skysr_data::dataset::{Dataset, DatasetSpec, Preset};
 use skysr_data::workload::WorkloadSpec;
+use skysr_graph::EpochGcStats;
+use skysr_service::metrics::MetricsRecorder;
 use skysr_service::replay::{
     build_pool, replay_on, replay_sharded, ReplaySpec, StreamPattern, TelemetryMode,
 };
 use skysr_service::telemetry::export::prometheus;
-use skysr_service::{QueryService, Rung, Service, ServiceConfig, ServiceContext, TelemetryConfig};
+use skysr_service::{
+    CacheCounters, LatencyBreakdown, QueryService, Rung, Served, Service, ServiceConfig,
+    ServiceContext, TelemetryConfig,
+};
 
 fn dataset(seed: u64) -> Dataset {
     DatasetSpec::preset(Preset::CalSmall).scale(0.08).seed(seed).generate()
@@ -45,30 +50,30 @@ fn full_tracing_yields_one_span_per_response_across_every_rung() {
 
     assert_eq!(report.trace_violations, Some(0), "trace-completeness invariant broke");
     let m = &report.metrics;
-    assert_eq!(report.spans.len() as u64, m.completed, "one span per completed response");
+    assert_eq!(report.spans.len() as u64, m.completed(), "one span per completed response");
 
     // The always-on histograms cover every response; the engine histogram
     // covers exactly the requests that ran a search or repair.
-    assert_eq!(m.latency_hist.count(), m.completed);
-    assert_eq!(m.queue_wait_hist.count(), m.completed);
-    assert_eq!(m.engine_hist.count(), m.executed);
+    assert_eq!(m.latency().count(), m.completed());
+    assert_eq!(m.queue_wait_hist.count(), m.completed());
+    assert_eq!(m.engine_hist.count(), m.executed());
 
-    // Per-rung span counts agree with the per-rung histograms and with
-    // the aggregate counters.
+    // Per-rung span counts agree with the per-rung histograms, and so
+    // with every count derived from them.
     let count = |r: Rung| report.spans.iter().filter(|s| s.rung == r).count() as u64;
     for rs in &m.rungs {
         assert_eq!(count(rs.rung), rs.hist.count(), "rung {:?}", rs.rung);
     }
-    assert_eq!(count(Rung::Coalesced), m.coalesced);
-    assert_eq!(count(Rung::Repaired), m.repairs + m.repair_fallbacks);
+    assert_eq!(count(Rung::Coalesced), m.coalesced());
+    assert_eq!(count(Rung::Repaired), m.repairs() + m.repair_fallbacks);
     let rung_total: u64 = Rung::ALL.iter().map(|&r| count(r)).sum();
-    assert_eq!(rung_total, m.completed, "the rungs tile the completed responses");
+    assert_eq!(rung_total, m.completed(), "the rungs tile the completed responses");
 
     // The update waves must actually have driven the repair rung — a
     // static run would leave most rungs untested.
-    assert!(m.repairs + m.repair_fallbacks > 0, "repair never fired: {m:?}");
+    assert!(m.repairs() + m.repair_fallbacks > 0, "repair never fired: {m:?}");
     assert!(count(Rung::ExactHit) > 0, "no exact hits in a duplicate stream");
-    assert!(m.executed > 0);
+    assert!(m.executed() > 0);
 
     // Spans are internally consistent: stages fit inside the total, every
     // span records its probe trail, and engine time is reserved for the
@@ -137,7 +142,7 @@ fn service_responses_and_drained_spans_agree() {
     // unaffected by span retention.
     assert!(service.traces().drain().is_empty());
     let m = service.metrics();
-    assert_eq!(m.latency_hist.count(), m.completed);
+    assert_eq!(m.latency().count(), m.completed());
 }
 
 /// The Prometheus exposition carries a consistent `shard` label, and the
@@ -180,7 +185,7 @@ fn prometheus_shard_labels_reconcile_with_span_audits() {
         // (`pattern` < `shard`) — the exact shape CI greps for.
         let completed = format!(
             "skysr_completed_total{{pattern=\"duplicate\",shard=\"{id}\"}} {}",
-            m.completed
+            m.completed()
         );
         assert!(page.lines().any(|l| l == completed), "missing series: {completed}");
         // Per-rung histogram counts reconcile with this shard's spans:
@@ -205,10 +210,44 @@ fn prometheus_shard_labels_reconcile_with_span_audits() {
         }
         // The exported rung series tile the shard's completed counter.
         let rung_total: u64 = m.rungs.iter().map(|rs| rs.hist.count()).sum();
-        assert_eq!(rung_total, m.completed);
+        assert_eq!(rung_total, m.completed());
+        // The overload counters are exported per shard too.
+        for (name, value) in [
+            ("skysr_rejected_total", m.rejected),
+            ("skysr_shed_deadline_total", m.shed_deadline),
+            ("skysr_approximate_served_total", m.approximate_served()),
+        ] {
+            let series = format!("{name}{{pattern=\"duplicate\",shard=\"{id}\"}} {value}");
+            assert!(page.lines().any(|l| l == series), "missing series: {series}");
+        }
     }
     // Distinct shards never collapse into one series.
     assert!(page.contains("shard=\"0\"") && page.contains("shard=\"1\""));
+}
+
+/// The overload counters are exported as `*_total` counters with the
+/// values the snapshot holds.
+#[test]
+fn prometheus_exports_the_overload_counters() {
+    let rec = MetricsRecorder::default();
+    rec.record(LatencyBreakdown::service_only(Duration::from_micros(40)), 1, Served::Approximate);
+    rec.record(LatencyBreakdown::service_only(Duration::from_micros(9)), 1, Served::CacheHit);
+    rec.record_rejected();
+    for _ in 0..3 {
+        rec.record_shed_deadline();
+    }
+    let m = rec.snapshot(Duration::from_secs(1), CacheCounters::default(), EpochGcStats::default());
+    let page = prometheus(&[(&[("shard", "0")], &m)]);
+    for (name, value) in [
+        ("skysr_rejected_total", 1),
+        ("skysr_shed_deadline_total", 3),
+        ("skysr_approximate_served_total", 1),
+        ("skysr_completed_total", 2),
+    ] {
+        assert!(page.contains(&format!("# TYPE {name} counter\n")), "{name} not a counter");
+        let series = format!("{name}{{shard=\"0\"}} {value}");
+        assert!(page.lines().any(|l| l == series), "missing series: {series}");
+    }
 }
 
 /// Sampled mode keeps a bounded subset; disabled mode keeps nothing.
@@ -239,7 +278,7 @@ fn sampled_and_disabled_retention_modes() {
             assert!(report.spans.is_empty(), "disabled tracing retained spans");
         }
         let m = &report.metrics;
-        assert_eq!(m.latency_hist.count(), m.completed, "histograms are unconditional");
-        assert!(m.rungs.iter().map(|rs| rs.hist.count()).sum::<u64>() == m.completed);
+        assert_eq!(m.latency().count(), m.completed(), "histograms are unconditional");
+        assert!(m.rungs.iter().map(|rs| rs.hist.count()).sum::<u64>() == m.completed());
     }
 }

@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use skysr::category::{CategoryForest, CategoryId, ForestBuilder};
-use skysr::core::bssr::{Bssr, BssrConfig, LowerBoundMode, QueuePolicy};
+use skysr::core::bssr::{Bssr, BssrConfig, LowerBoundMode, QueuePolicy, WarmSeeds};
 use skysr::core::naive::naive_skysr;
 use skysr::core::variants::skyband::{naive_skyband, SkybandQuery};
 use skysr::core::{PoiTable, PreparedQuery, QueryContext, SkySrQuery, SkylineRoute};
@@ -166,7 +166,7 @@ proptest! {
         );
         let mut engine = Bssr::new(&ctx);
         let prefix = engine.run(&prefix_query).expect("valid prefix").routes;
-        let warm = engine.run_with_seeds(&built.query, &prefix).expect("valid query");
+        let warm = engine.run_prepared_observed(&pq, WarmSeeds::PrefixOrFull(&prefix), None);
         assert_same_skyline(&warm.routes, &oracle, "warm-started");
     }
 
